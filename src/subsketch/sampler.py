@@ -7,13 +7,16 @@ shapes stay fixed).  BFS visits neighbors in ascending id order and stops
 after ``s`` nodes; smaller components are padded out and masked.
 
 The sketched graph treats selected subgraphs as supernodes and connects two
-of them when they share strictly more than ``b_com`` original nodes.
+of them when they share strictly more than ``b_com`` original nodes.  The
+shared-node counts of every pair are computed once per graph, when it is
+sampled, so building a sketch on each training step only indexes them.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,6 +35,7 @@ class SubgraphEntry:
 class SubgraphSet:
     graph_id: int
     subgraphs: tuple[SubgraphEntry, ...]
+    overlap: np.ndarray  # (n, n) real nodes shared by subgraphs i and j
 
     @property
     def n(self) -> int:
@@ -68,18 +72,18 @@ def sample_subgraphs(graph: Graph, n: int, s: int) -> SubgraphSet:
     adj = graph.neighbors()
     degree = graph.degrees()
     ranking = sorted(range(graph.num_nodes), key=lambda v: (-degree[v], v))
-    edge_set = set(graph.edges)
 
     entries = []
     for i in range(n):
         root = ranking[i % graph.num_nodes]
         nodes = _bfs_truncated(adj, root, s)
+        position = {u: a for a, u in enumerate(nodes)}
         local = np.zeros((s, s), dtype=np.float64)
         for a, u in enumerate(nodes):
-            for b in range(a + 1, len(nodes)):
-                v = nodes[b]
-                if (min(u, v), max(u, v)) in edge_set:
-                    local[a, b] = local[b, a] = 1.0
+            for w in adj[u]:
+                b = position.get(w)
+                if b is not None and b != a:  # no self-loops
+                    local[a, b] = 1.0
         mask = np.zeros(s, dtype=bool)
         mask[: len(nodes)] = True
         entries.append(
@@ -90,7 +94,20 @@ def sample_subgraphs(graph: Graph, n: int, s: int) -> SubgraphSet:
                 mask=mask,
             )
         )
-    return SubgraphSet(graph_id=graph.index, subgraphs=tuple(entries))
+    return SubgraphSet(
+        graph_id=graph.index, subgraphs=tuple(entries), overlap=overlap_counts(entries)
+    )
+
+
+def overlap_counts(entries: Sequence[SubgraphEntry]) -> np.ndarray:
+    """(n, n) matrix: how many real nodes subgraphs i and j share."""
+    flat = [v for e in entries for v in e.node_ids]
+    row = np.repeat(np.arange(len(entries)), [len(e.node_ids) for e in entries])
+    member = np.zeros((len(entries), max(flat) + 1))
+    member[row, flat] = 1.0
+    # A count is at most s, far below 2**15 for any (s, s) adjacency that
+    # fits in memory; the narrow type keeps one matrix per graph cheap.
+    return (member @ member.T).astype(np.int16)
 
 
 @dataclass(frozen=True)
@@ -104,13 +121,20 @@ class SketchedGraph:
     supernodes: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
     b_com: int
+    # Dense read-only form of ``edges``; built from them when not given.
+    adjacency: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.adjacency is None:
+            m = len(self.supernodes)
+            out = np.zeros((m, m), dtype=np.float64)
+            for i, j in self.edges:
+                out[i, j] = out[j, i] = 1.0
+            object.__setattr__(self, "adjacency", out)
+        self.adjacency.flags.writeable = False
 
     def adjacency_matrix(self) -> np.ndarray:
-        m = len(self.supernodes)
-        out = np.zeros((m, m), dtype=np.float64)
-        for i, j in self.edges:
-            out[i, j] = out[j, i] = 1.0
-        return out
+        return self.adjacency
 
 
 def build_sketched_graph(
@@ -121,15 +145,18 @@ def build_sketched_graph(
     """Connect selected subgraphs that share more than ``b_com`` real nodes."""
     if not idx:
         raise ValueError("cannot build a sketched graph from no supernodes")
-    entries = (
-        subgraph_sets.subgraphs
+    overlap = (
+        subgraph_sets.overlap
         if isinstance(subgraph_sets, SubgraphSet)
-        else subgraph_sets
+        else overlap_counts(subgraph_sets)
     )
-    node_sets = [set(entries[i].node_ids) for i in idx]
-    edges = []
-    for i in range(len(idx)):
-        for j in range(i + 1, len(idx)):
-            if len(node_sets[i] & node_sets[j]) > b_com:
-                edges.append((i, j))
-    return SketchedGraph(supernodes=tuple(idx), edges=tuple(edges), b_com=b_com)
+    sel = np.asarray(idx, dtype=np.intp)
+    linked = overlap[sel[:, None], sel] > b_com  # overlap[idx][:, idx]
+    np.fill_diagonal(linked, False)
+    rows, cols = np.nonzero(linked)  # row-major order
+    return SketchedGraph(
+        supernodes=tuple(idx),
+        edges=tuple((i, j) for i, j in zip(rows.tolist(), cols.tolist()) if i < j),
+        b_com=b_com,
+        adjacency=linked.astype(np.float64),
+    )

@@ -102,34 +102,43 @@ def attention_mask(sk: SketchedGraph) -> np.ndarray:
 def inter_attention_with_mask(
     additive_mask: np.ndarray, zs: Node, bound: BoundSketch, tape: Tape
 ) -> tuple[Node, list[Node]]:
-    """Attention under an arbitrary additive mask (0 = allowed, MASK_OFF = not).
+    """Attention of B graphs of M supernodes each under an additive mask.
 
-    This is the work-horse shared by the single-sketch entry point below and
-    the trainer's batched path, which stitches several sketched graphs into
-    one block-diagonal mask so cross-graph pairs can never attend.
+    ``zs`` stacks the graphs' supernode embeddings, graph b in rows
+    [b*M, (b+1)*M).  ``additive_mask`` has shape (B*M, M): row b*M + i,
+    column j masks supernode i of graph b attending to supernode j of the
+    same graph (0 = allowed, MASK_OFF = not).  Supernodes never see another
+    graph, so nothing is spent on cross-graph pairs.  A single graph's
+    (m, m) mask is the B = 1 case.  Each head's coefficients come back in
+    the mask's (B*M, M) layout.
     """
-    m = zs.shape[0]
-    if additive_mask.shape != (m, m):
+    rows, m = additive_mask.shape
+    if rows != zs.shape[0] or m == 0 or rows % m:
         raise ValueError(
-            f"mask shape {additive_mask.shape} does not fit {m} embeddings"
+            f"mask shape {additive_mask.shape} does not fit {zs.shape[0]} embeddings"
         )
+    graphs = rows // m
     mask = tape.constant(additive_mask, name="sketch_mask")
     ones_row = tape.constant(np.ones((1, m)), name="ones_row")
-    ones_col = tape.constant(np.ones((m, 1)), name="ones_col")
+    graph_of_row = np.repeat(np.arange(graphs), m)
     head_outputs = []
     coefficients = []
     for w, a in zip(bound.w_inter, bound.a_inter):
-        projected = tape.matmul(zs, tape.transpose(w))  # m x d2
+        projected = tape.matmul(zs, tape.transpose(w))  # B*M x d2
         d2 = w.shape[0]
         src = tape.matmul(projected, _slice_rows(a, 0, d2, tape))
         dst = tape.matmul(projected, _slice_rows(a, d2, 2 * d2, tape))
-        # e_ij = leaky_relu(src_i + dst_j), built by broadcasting both halves.
+        # e_ij = leaky_relu(src_i + dst_j), built by broadcasting both halves;
+        # each graph's dst row is repeated for that graph's M rows.
         logits = tape.leaky_relu(
-            tape.add(tape.matmul(src, ones_row), tape.matmul(ones_col, tape.transpose(dst)))
+            tape.add(
+                tape.matmul(src, ones_row),
+                tape.take_rows(tape.reshape(dst, graphs, m), graph_of_row),
+            )
         )
         alpha = tape.softmax_rows(tape.add(logits, mask))
         coefficients.append(alpha)
-        head_outputs.append(tape.matmul(alpha, projected))
+        head_outputs.append(tape.block_diag_matmul(alpha, projected))
     total = head_outputs[0]
     for extra in head_outputs[1:]:
         total = tape.add(total, extra)

@@ -3,10 +3,11 @@ ratio-tuning agent stepped between epochs and 10-fold cross-validation.
 
 The forward pass is fully batched for CPU efficiency: every subgraph of
 every graph in the batch lives in one big tape, with block-diagonal
-propagation for the per-subgraph convolutions and a block-diagonal additive
-mask keeping sketch attention inside each graph.  Per-graph bookkeeping
-(top-k selection, sketched-graph construction) happens on plain numpy
-values between tape ops.
+propagation for the per-subgraph convolutions.  Every graph keeps the same
+number M of supernodes, so sketch attention runs on (B*M, M) blocks, one
+M x M block per graph, and never forms cross-graph pairs.  Per-graph
+bookkeeping (top-k selection, sketched-graph construction) happens on plain
+numpy values between tape ops.
 
 Variants:
     full        adaptive k, negatives from the next graph in the batch
@@ -28,7 +29,6 @@ from .diffcore import MASK_OFF, Node, Tape
 from .encoder import (
     BoundEncoder,
     EncoderParams,
-    bind_encoder,
     glorot,
     init_encoder_params,
     propagation_matrix,
@@ -41,7 +41,6 @@ from .sketch_mi import (
     BoundSketch,
     SketchParams,
     attention_mask,
-    bind_sketch,
     corrupt,
     init_sketch_params,
     inter_attention_with_mask,
@@ -284,7 +283,7 @@ class PipelineState:
     gates: Node  # (m', 1)
     sketches: list[SketchedGraph]
     z_primes: Node  # (m', d2)
-    alphas: list[Node]  # per-head (m', m') coefficients
+    alphas: list[Node]  # per-head (m', M) coefficients, M per graph
 
 
 def _run_pipeline(
@@ -340,14 +339,9 @@ def _run_pipeline(
     gates = tape.sigmoid(tape.take_rows(values, selected_rows))
     gated = tape.mul(chosen, tape.matmul(gates, tape.constant(np.ones((1, d1)))))
 
-    # Sketch attention across the whole batch under a block-diagonal mask.
-    m_sel = len(selected_rows)
-    mask = np.full((m_sel, m_sel), MASK_OFF)
-    offset = 0
-    for sk in sketches:
-        size = len(sk.supernodes)
-        mask[offset : offset + size, offset : offset + size] = attention_mask(sk)
-        offset += size
+    # Sketch attention per graph: each graph keeps the same count M, so the
+    # stacked (m', M) mask holds one M x M block per graph.
+    mask = np.vstack([attention_mask(sk) for sk in sketches])
     z_primes, alphas = inter_attention_with_mask(mask, gated, bound.sketch, tape)
 
     return PipelineState(
@@ -625,15 +619,25 @@ def train_fold(
     )
 
 
-def _fold_worker(args) -> FoldResult:
-    graphs, plan, fold, config = args
-    result = train_fold(graphs, plan, fold, config)
-    tensors = {g.index: precompute_tensors(g, config.n, config.s) for g in graphs}
+def _train_and_test(
+    graphs: list[Graph],
+    plan: FoldPlan,
+    fold: int,
+    config: TrainConfig,
+    tensors: dict[int, GraphTensors],
+) -> FoldResult:
+    result = train_fold(graphs, plan, fold, config, tensors)
     _, test_ids = plan.split(fold)
     result.test_accuracy = evaluate_accuracy(
         result.model, tensors, test_ids, result.final_k, config
     )
     return result
+
+
+def _fold_worker(args) -> FoldResult:
+    graphs, plan, fold, config = args
+    tensors = {g.index: precompute_tensors(g, config.n, config.s) for g in graphs}
+    return _train_and_test(graphs, plan, fold, config, tensors)
 
 
 def cross_validate(
@@ -651,14 +655,7 @@ def cross_validate(
         tensors = {
             g.index: precompute_tensors(g, config.n, config.s) for g in graphs
         }
-        results = []
-        for fold in folds:
-            result = train_fold(graphs, plan, fold, config, tensors)
-            _, test_ids = plan.split(fold)
-            result.test_accuracy = evaluate_accuracy(
-                result.model, tensors, test_ids, result.final_k, config
-            )
-            results.append(result)
+        results = [_train_and_test(graphs, plan, f, config, tensors) for f in folds]
 
     accuracies = [r.test_accuracy for r in results]
     report = RunReport(

@@ -215,6 +215,8 @@ def _loss_for(op_name, t, inputs, extras):
         y = t.take_rows(x[0], extras["idx"])
     elif op_name == "block_diag_matmul":
         y = t.block_diag_matmul(extras["blocks"], x[0])
+    elif op_name == "block_diag_matmul_node":
+        y = t.block_diag_matmul(x[0], x[1])
     elif op_name == "rowblock_weighted_sum":
         y = t.rowblock_weighted_sum(x[0], x[1])
     elif op_name == "dropout":
@@ -238,6 +240,8 @@ def _inputs_for(op_name, rng):
         return [np.abs(rand(rng, 3, 4)) + 0.5]
     if op_name == "block_diag_matmul":
         return [rand(rng, 6, 4)]
+    if op_name == "block_diag_matmul_node":
+        return [rand(rng, 6, 2), rand(rng, 6, 4)]  # three 2x2 blocks
     return [rand(rng, 3, 4)]
 
 
@@ -245,7 +249,7 @@ DIFFERENTIABLE_OPS = [
     "matmul", "add", "mul", "div", "neg", "scale", "sigmoid", "tanh",
     "leaky_relu", "log", "exp", "sqrt", "softplus", "softmax_rows",
     "transpose", "reshape", "sum", "take_rows", "block_diag_matmul",
-    "rowblock_weighted_sum", "dropout",
+    "block_diag_matmul_node", "rowblock_weighted_sum", "dropout",
 ]
 
 
@@ -269,6 +273,30 @@ def test_gradients_match_finite_differences(op_name):
         loss, xs = _loss_for(op_name, t, [a.copy() for a in inputs], extras)
         grads = t.backward(loss)
         assert_grads_close([grads[x] for x in xs], finite_diff_grads(f, inputs))
+
+
+def test_block_diag_matmul_node_matches_dense_block_diagonal():
+    rng = np.random.default_rng(4)
+    blocks = rand(rng, 6, 2)  # three 2x2 blocks stacked by rows
+    h = rand(rng, 6, 3)
+    dense = np.zeros((6, 6))
+    for i in range(3):
+        dense[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = blocks[2 * i : 2 * i + 2]
+    t = Tape()
+    out = t.block_diag_matmul(t.constant(blocks), t.constant(h))
+    np.testing.assert_allclose(out.value, dense @ h, atol=1e-14)
+    stacked = t.block_diag_matmul(blocks.reshape(3, 2, 2), t.constant(h))
+    np.testing.assert_allclose(stacked.value, out.value, atol=1e-14)
+
+
+def test_block_diag_matmul_shape_errors():
+    t = Tape()
+    with pytest.raises(ValueError, match="block_diag_matmul mismatch"):
+        t.block_diag_matmul(t.constant(np.ones((5, 2))), t.constant(np.ones((5, 3))))
+    with pytest.raises(ValueError, match="block_diag_matmul mismatch"):
+        t.block_diag_matmul(t.constant(np.ones((6, 2))), t.constant(np.ones((4, 3))))
+    with pytest.raises(ValueError, match="block_diag_matmul mismatch"):
+        t.block_diag_matmul(np.ones((3, 2, 3)), t.constant(np.ones((6, 3))))
 
 
 # ---------------------------------------------------------------- misc

@@ -188,6 +188,43 @@ def test_sketch_matches_intersection_oracle(seed):
     assert np.all(np.diag(adj) == 0)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_overlap_counts_match_set_intersections(seed):
+    g = random_graph(np.random.default_rng(320 + seed), num_nodes=14, edge_prob=0.25)
+    ss = sample_subgraphs(g, n=6, s=4)
+    want = np.array(
+        [
+            [len(set(a.node_ids) & set(b.node_ids)) for b in ss.subgraphs]
+            for a in ss.subgraphs
+        ]
+    )
+    np.testing.assert_array_equal(ss.overlap, want)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sketch_from_entries_matches_sketch_from_set(seed):
+    g = random_graph(np.random.default_rng(330 + seed), num_nodes=12, edge_prob=0.3)
+    ss = sample_subgraphs(g, n=6, s=4)
+    idx = [5, 0, 3, 2]
+    for b_com in (0, 1, 2):
+        from_set = build_sketched_graph(ss, idx, b_com)
+        from_list = build_sketched_graph(list(ss.subgraphs), idx, b_com)
+        assert from_set == from_list
+        np.testing.assert_array_equal(
+            from_set.adjacency_matrix(), from_list.adjacency_matrix()
+        )
+
+
+def test_sketch_edges_in_row_major_order():
+    path = graph_from_edges(6, [(i, i + 1) for i in range(5)])
+    ss = sample_subgraphs(path, n=4, s=4)
+    sk = build_sketched_graph(ss, idx=[3, 2, 1, 0], b_com=0)
+    assert all(i < j for i, j in sk.edges)
+    assert list(sk.edges) == sorted(sk.edges)
+    adj = sk.adjacency_matrix()
+    assert {(i, j) for i, j in zip(*np.nonzero(adj)) if i < j} == set(sk.edges)
+
+
 def test_sketch_requires_supernodes():
     path = graph_from_edges(3, [(0, 1), (1, 2)])
     ss = sample_subgraphs(path, n=2, s=2)

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from subsketch.dataset import Graph
-from subsketch.diffcore import Tape
+from subsketch.diffcore import MASK_OFF, Tape
 from subsketch.errors import ConfigError
 from subsketch.sampler import SketchedGraph
 from subsketch.sketch_mi import (
     BoundSketch,
     MIBatchPlan,
+    attention_mask,
     bilinear_logits,
     bind_sketch,
     corrupt,
@@ -15,6 +16,7 @@ from subsketch.sketch_mi import (
     init_sketch_params,
     inter_attention,
     inter_attention_details,
+    inter_attention_with_mask,
     mi_loss,
     readout,
 )
@@ -106,6 +108,97 @@ def test_coefficients_normalized_per_head():
     for alpha in alphas:
         np.testing.assert_allclose(alpha.value.sum(axis=1), np.ones(5), atol=1e-9)
         assert np.all(alpha.value[allowed == 0] == 0.0)
+
+
+def dense_batch_attention(additive_mask, zs, bound, tape):
+    """Reference: every graph's supernodes in one (sum m')^2 attention matrix,
+    cross-graph pairs switched off by a block-diagonal MASK_OFF mask."""
+    rows = zs.shape[0]
+    mask = tape.constant(additive_mask)
+    ones_row = tape.constant(np.ones((1, rows)))
+    ones_col = tape.constant(np.ones((rows, 1)))
+    heads = []
+    for w, a in zip(bound.w_inter, bound.a_inter):
+        d2 = w.shape[0]
+        projected = tape.matmul(zs, tape.transpose(w))
+        src = tape.matmul(projected, tape.take_rows(a, list(range(d2))))
+        dst = tape.matmul(projected, tape.take_rows(a, list(range(d2, 2 * d2))))
+        logits = tape.leaky_relu(
+            tape.add(tape.matmul(src, ones_row), tape.matmul(ones_col, tape.transpose(dst)))
+        )
+        alpha = tape.softmax_rows(tape.add(logits, mask))
+        heads.append(tape.matmul(alpha, projected))
+    total = heads[0]
+    for extra in heads[1:]:
+        total = tape.add(total, extra)
+    return tape.scale(total, 1.0 / len(heads))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_batched_attention_matches_dense_block_diagonal_reference(seed):
+    rng = np.random.default_rng(40 + seed)
+    m, d1, d2 = 4, 3, 5
+    sketches = [
+        sketch_of(m),  # isolated supernodes
+        sketch_of(m, [(0, 1), (1, 2), (2, 3)]),  # path
+        sketch_of(m, [(i, j) for i in range(m) for j in range(i + 1, m)]),  # complete
+        sketch_of(m, [(0, 2), (1, 3)]),
+    ]
+    rows = m * len(sketches)
+    zs_value = rng.standard_normal((rows, d1))
+    w_list = [rng.standard_normal((d2, d1)) for _ in range(2)]
+    a_list = [rng.standard_normal((2 * d2, 1)) for _ in range(2)]
+    weighting = rng.standard_normal((rows, d2))
+    dense_mask = np.full((rows, rows), MASK_OFF)
+    for b, sk in enumerate(sketches):
+        dense_mask[b * m : (b + 1) * m, b * m : (b + 1) * m] = attention_mask(sk)
+
+    def run(attend, mask):
+        tape = Tape()
+        bound = bind_arrays(tape, w_list, a_list, np.eye(d2))
+        zs = tape.param(zs_value)
+        out = attend(mask, zs, bound, tape)
+        if isinstance(out, tuple):
+            out = out[0]
+        grads = tape.backward(tape.sum(tape.mul(out, tape.constant(weighting))))
+        nodes = [zs, *bound.w_inter, *bound.a_inter]
+        return out.value, [grads[node] for node in nodes]
+
+    batched_mask = np.vstack([attention_mask(sk) for sk in sketches])
+    assert batched_mask.shape == (rows, m)
+    got, got_grads = run(inter_attention_with_mask, batched_mask)
+    want, want_grads = run(dense_batch_attention, dense_mask)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    for g, w in zip(got_grads, want_grads):
+        assert np.max(np.abs(g - w)) <= 1e-12
+
+
+def test_batched_coefficients_stay_inside_each_graph():
+    rng = np.random.default_rng(7)
+    sketches = [sketch_of(3), sketch_of(3, [(0, 1), (0, 2), (1, 2)])]
+    tape = Tape()
+    bound = bind_arrays(
+        tape, [rng.standard_normal((4, 2))], [rng.standard_normal((8, 1))], np.eye(4)
+    )
+    mask = np.vstack([attention_mask(sk) for sk in sketches])
+    _, alphas = inter_attention_with_mask(
+        mask, tape.constant(rng.standard_normal((6, 2))), bound, tape
+    )
+    alpha = alphas[0].value
+    assert alpha.shape == (6, 3)
+    np.testing.assert_allclose(alpha[:3], np.eye(3), atol=1e-15)  # no sketch edges
+    np.testing.assert_allclose(alpha.sum(axis=1), np.ones(6), atol=1e-12)
+    assert np.all(alpha[3:] > 0.0)
+
+
+def test_mask_must_tile_the_embeddings():
+    tape = Tape()
+    bound = bind_arrays(tape, [np.eye(2)], [np.ones((4, 1))], np.eye(2))
+    zs = tape.constant(np.ones((6, 2)))
+    with pytest.raises(ValueError, match="does not fit"):
+        inter_attention_with_mask(np.zeros((6, 4)), zs, bound, tape)
+    with pytest.raises(ValueError, match="does not fit"):
+        inter_attention_with_mask(np.zeros((4, 2)), zs, bound, tape)
 
 
 def test_embedding_count_must_match_supernodes():

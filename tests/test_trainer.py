@@ -351,6 +351,24 @@ def test_parallel_folds_match_sequential(dataset):
     assert seq_report.trajectories == par_report.trajectories
 
 
+def test_fold_worker_precomputes_each_graph_once(dataset, monkeypatch):
+    import subsketch.trainer as trainer
+
+    calls = []
+    original = trainer.precompute_tensors
+
+    def counting(graph, n, s):
+        calls.append(graph.index)
+        return original(graph, n, s)
+
+    monkeypatch.setattr(trainer, "precompute_tensors", counting)
+    config = tiny_config(epochs=1, fold_count=5, seed=6)
+    plan = make_folds(dataset, config.seed, config.fold_count)
+    result = trainer._fold_worker((dataset, plan, 0, config))
+    assert result.test_accuracy is not None
+    assert sorted(calls) == sorted(g.index for g in dataset)
+
+
 def test_training_beats_majority_rate(dataset):
     config = TrainConfig(
         n=6, s=4, d1=8, d2=16, heads=2, batch_size=10, fold_count=5,
