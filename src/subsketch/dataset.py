@@ -28,7 +28,13 @@ from .errors import ConfigError, DatasetFormatError
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """One labelled graph: 0-based local node ids, undirected edge pairs."""
+    """One labelled graph: 0-based local node ids, undirected edge pairs.
+
+    ``features`` must be the one-hot rows of ``node_labels``: row i holds a
+    single 1.0 in column ``node_labels[i]``.  The trainer encodes nodes by
+    their category and rejects graphs that break this.
+    :func:`parse_tu_dataset` guarantees it; graphs built by hand must follow it.
+    """
 
     index: int
     label: int

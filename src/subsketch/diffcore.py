@@ -128,12 +128,15 @@ class Tape:
     def take_rows(self, x: Node, indices) -> Node:
         """Gather rows (duplicates allowed); backward scatter-adds."""
         idx = np.asarray(indices, dtype=np.intp)
-        out = self._record(x.value[idx, :].copy(), (x,))
+        out = self._record(np.take(x.value, idx, axis=0), (x,))
+        rows, cols = x.value.shape
 
         def rule(g):
-            gx = np.zeros_like(x.value)
-            np.add.at(gx, idx, g)
-            return (gx,)
+            # One flat bincount adds in index order from zero, exactly as
+            # np.add.at would, at a fraction of its cost.
+            flat = ((idx * cols)[:, None] + np.arange(cols)).ravel()
+            gx = np.bincount(flat, weights=g.ravel(), minlength=rows * cols)
+            return (gx.reshape(rows, cols),)
 
         out.backward_rule = rule
         return out

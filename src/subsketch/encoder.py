@@ -81,9 +81,15 @@ def propagation_matrix(entry: SubgraphEntry) -> np.ndarray:
 
 
 def subgraph_features(entry: SubgraphEntry, graph_features: np.ndarray) -> np.ndarray:
-    """Constant ``s x d`` feature block: graph rows for real nodes, zero pads."""
+    """Constant per-node block of the padded subgraph: graph rows for real
+    nodes, zero pads.
+
+    ``graph_features`` is either a ``num_nodes x d`` feature matrix, giving an
+    ``s x d`` block, or a ``(num_nodes,)`` category vector, giving ``(s,)``
+    categories; the output keeps the input's dtype.
+    """
     s = entry.mask.shape[0]
-    out = np.zeros((s, graph_features.shape[1]), dtype=np.float64)
+    out = np.zeros((s,) + graph_features.shape[1:], dtype=graph_features.dtype)
     out[: len(entry.node_ids)] = graph_features[list(entry.node_ids)]
     return out
 

@@ -3,7 +3,9 @@ ratio-tuning agent stepped between epochs and 10-fold cross-validation.
 
 The forward pass is fully batched for CPU efficiency: every subgraph of
 every graph in the batch lives in one big tape, with block-diagonal
-propagation for the per-subgraph convolutions.  Every graph keeps the same
+propagation for the per-subgraph convolutions.  Node features are one-hot
+categories, so the first layer's product X W0 is a row lookup of W0 by each
+node's category; no dense feature block is built.  Every graph keeps the same
 number M of supernodes, so sketch attention runs on (B*M, M) blocks, one
 M x M block per graph, and never forms cross-graph pairs.  Per-graph
 bookkeeping (top-k selection, sketched-graph construction) happens on plain
@@ -188,14 +190,34 @@ class GraphTensors:
     graph: Graph
     subgraph_set: SubgraphSet
     prop_blocks: np.ndarray  # (n, s, s)
-    feats: np.ndarray  # (n*s, d)
+    feats: np.ndarray  # (n*s,) intp node category per stacked row; pads hold 0
     attn_off: np.ndarray  # (n, s): 0 for real nodes, MASK_OFF for padding
 
 
+def _node_categories(graph: Graph) -> np.ndarray:
+    """``node_labels`` as an index array, checked to give the column of the
+    single 1.0 in each ``features`` row.  The check reads a nonzero count and
+    the picked entries, never a dense one-hot copy."""
+    cats = np.asarray(graph.node_labels, dtype=np.intp)
+    feats, n = graph.features, len(cats)
+    if not (
+        feats.ndim == 2
+        and feats.shape[0] == n
+        and (n == 0 or (cats.min() >= 0 and cats.max() < feats.shape[1]))
+        and np.count_nonzero(feats) == n
+        and np.all(feats[np.arange(n), cats] == 1.0)
+    ):
+        raise ValueError(
+            f"graph {graph.index}: features must be the one-hot rows of node_labels"
+        )
+    return cats
+
+
 def precompute_tensors(graph: Graph, n: int, s: int) -> GraphTensors:
+    cats = _node_categories(graph)
     ss = sample_subgraphs(graph, n, s)
     prop = np.stack([propagation_matrix(e) for e in ss.subgraphs])
-    feats = np.vstack([subgraph_features(e, graph.features) for e in ss.subgraphs])
+    feats = np.concatenate([subgraph_features(e, cats) for e in ss.subgraphs])
     attn_off = np.stack(
         [np.where(e.mask, 0.0, MASK_OFF) for e in ss.subgraphs]
     )
@@ -299,15 +321,19 @@ def _run_pipeline(
     batch = len(tensors)
     m = batch * n
     prop = np.concatenate([t.prop_blocks for t in tensors])
-    feats = np.vstack(
+    feats = np.concatenate(
         feats_override if feats_override is not None else [t.feats for t in tensors]
     )
     attn_off = np.vstack([t.attn_off for t in tensors])
 
     # Message passing over all subgraphs at once (block-diagonal propagation).
-    h = tape.constant(feats, name="h0")
-    for layer, weight in enumerate(bound.encoder.layer_weights):
-        if layer > 0 and config.dropout > 0.0:
+    # Layer 0 looks up W0's row for each node's category, which is X W0 for
+    # one-hot X.  Pad rows read category 0 instead of a zero row; this is
+    # exact because the propagation blocks' pad rows and columns are zero.
+    weights = bound.encoder.layer_weights
+    h = tape.tanh(tape.block_diag_matmul(prop, tape.take_rows(weights[0], feats)))
+    for weight in weights[1:]:
+        if config.dropout > 0.0:
             h = tape.dropout(h, config.dropout, rng)
         h = tape.tanh(tape.block_diag_matmul(prop, tape.matmul(h, weight)))
 
@@ -430,15 +456,17 @@ def batch_forward(
                 d2_ones,
             )
         else:  # corrupt_features: re-run the pipeline on shuffled features
-            shuffled = [
-                np.vstack(
-                    [
-                        subgraph_features(e, corrupt(t.graph, corrupt_rng).features)
-                        for e in t.subgraph_set.subgraphs
-                    ]
+            # One shuffle per graph, shared by all its subgraphs, so that
+            # overlapping subgraphs agree on each node's corrupted category.
+            shuffled = []
+            for t in tensors:
+                shuffled_graph = corrupt(t.graph, corrupt_rng)
+                cats = np.asarray(shuffled_graph.node_labels, dtype=np.intp)
+                shuffled.append(
+                    np.concatenate(
+                        [subgraph_features(e, cats) for e in t.subgraph_set.subgraphs]
+                    )
                 )
-                for t in tensors
-            ]
             twisted = _run_pipeline(
                 bound, tensors, k, config, tape, rng, feats_override=shuffled
             )

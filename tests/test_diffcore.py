@@ -302,6 +302,20 @@ def test_block_diag_matmul_shape_errors():
 # ---------------------------------------------------------------- misc
 
 
+@pytest.mark.parametrize("idx", [[2, 0, 2, 2, 1, 2], [4, 4], []])
+def test_take_rows_backward_matches_add_at_bit_for_bit(idx):
+    # Duplicates sum in index order; rows never picked get exact zeros.
+    rng = np.random.default_rng(len(idx))
+    t = Tape()
+    x = t.param(rng.standard_normal((5, 3)))
+    y = t.take_rows(x, idx)
+    g = rng.standard_normal(y.shape) * 10.0 ** rng.integers(-8, 8, size=y.shape)
+    got = t.backward(t.sum(t.mul(y, t.constant(g))))[x]
+    want = np.zeros((5, 3))
+    np.add.at(want, np.asarray(idx, dtype=np.intp), g)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_tape_determinism():
     def run():
         rng = np.random.default_rng(42)

@@ -106,6 +106,9 @@ def test_padded_rows_stay_zero():
     prop = propagation_matrix(entry)
     np.testing.assert_array_equal(prop, prop.T)
     assert subgraph_features(entry, feats).shape == (4, 2)
+    cats = subgraph_features(entry, np.array([1, 0], dtype=np.intp))
+    assert cats.dtype == np.intp
+    np.testing.assert_array_equal(cats, [1, 0, 0, 0])
 
 
 def test_attention_single_real_node_returns_its_row():

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from subsketch.dataset import make_folds
+from subsketch.dataset import Graph, make_folds
 from subsketch.diffcore import Tape
-from subsketch.encoder import encode_nodes, intra_attention
+from subsketch.encoder import encode_nodes, intra_attention, subgraph_features
 from subsketch.errors import ConfigError
 from subsketch.pooling import topk_select
 from subsketch.sampler import build_sketched_graph
@@ -217,8 +217,16 @@ def test_full_model_gradients_match_finite_differences(dataset, variant):
 
 def test_batched_forward_matches_per_module_path(dataset):
     config = tiny_config(variant="no_mi", dropout=0.0)
-    graphs = dataset[:3]
+    # Two nodes with nonzero categories: every subgraph of this graph has a
+    # pad row, whose category 0 must not leak into the batched lookup.
+    pair = Graph(
+        index=40, label=1, edges=((0, 1),), node_labels=(2, 3),
+        features=np.eye(4)[[2, 3]],
+    )
+    graphs = dataset[:3] + [pair]
     tensors = [precompute_tensors(g, config.n, config.s) for g in graphs]
+    pads = ~np.concatenate([e.mask for e in tensors[-1].subgraph_set.subgraphs])
+    assert pads.any() and np.all(tensors[-1].feats[pads] == 0)
     labels = [g.label for g in graphs]
     model = init_model(np.random.default_rng(5), 4, 2, config)
     k = 0.6  # keeps 2 of 3 subgraphs per graph
@@ -252,6 +260,55 @@ def test_batched_forward_matches_per_module_path(dataset):
         np.testing.assert_allclose(
             result.graph_dists.value[b], graph_dist.value[0], atol=1e-10
         )
+
+
+@pytest.mark.parametrize(
+    "features",
+    [
+        np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0]]),  # first row is not one-hot
+        np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]),  # one-hot, labels disagree
+    ],
+)
+def test_precompute_rejects_features_that_are_not_one_hot_labels(features):
+    graph = Graph(index=7, label=0, edges=((0, 1),), node_labels=(0, 1), features=features)
+    with pytest.raises(ValueError, match="graph 7"):
+        precompute_tensors(graph, 2, 2)
+
+
+def test_mi_corrupt_shuffles_each_graph_once(dataset, monkeypatch):
+    import subsketch.trainer as trainer
+
+    config = tiny_config(variant="mi_corrupt", n=6, s=4, dropout=0.0)
+    graphs = dataset[:2]
+    tensors = [precompute_tensors(g, config.n, config.s) for g in graphs]
+    calls = []
+
+    def recording(entry, graph_features):
+        out = subgraph_features(entry, graph_features)
+        calls.append((entry, out))
+        return out
+
+    monkeypatch.setattr(trainer, "subgraph_features", recording)
+    model = init_model(np.random.default_rng(1), 4, 2, config)
+    tape = Tape(training=False)
+    batch_forward(
+        bind_model(model, tape), tensors, [g.label for g in graphs], 0.5, config,
+        tape, corrupt_rng=np.random.default_rng(4),
+    )
+    # Overlapping subgraphs of one graph see one shuffle: a shared node gets
+    # the same corrupted category in every subgraph that holds it.
+    owner = {id(e): b for b, t in enumerate(tensors) for e in t.subgraph_set.subgraphs}
+    seen = {}
+    shared = 0
+    for entry, out in calls:
+        for pos, node in enumerate(entry.node_ids):
+            key = (owner[id(entry)], node)
+            if key in seen:
+                shared += 1
+                np.testing.assert_array_equal(out[pos], seen[key])
+            else:
+                seen[key] = out[pos]
+    assert shared > 0
 
 
 def test_single_graph_batch_rejected_for_alternative_negatives(dataset):
