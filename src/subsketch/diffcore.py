@@ -6,7 +6,7 @@ topological order: an operand node always exists before its consumer.
 Calling ``Tape.backward`` on a scalar (1x1) node walks the tape in reverse
 and accumulates gradients into every parameter node.
 
-There is no broadcasting. Binary elementwise ops require equal shapes;
+There is no broadcasting. Binary entrywise ops require equal shapes;
 scalar broadcasts are expressed with explicit ones-matrix matmuls by the
 callers. This keeps every backward rule a two-line closure.
 """
@@ -15,14 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Matrix", "Node", "Tape", "as_matrix", "ELEMENTWISE_KINDS"]
+__all__ = ["Matrix", "Node", "Tape", "as_matrix"]
 
 # Values are plain numpy arrays; the alias documents intent in signatures.
 Matrix = np.ndarray
-
-ELEMENTWISE_KINDS = (
-    "add", "mul", "sigmoid", "tanh", "leaky_relu", "log", "exp", "neg", "scale",
-)
 
 # Additive mask value: finite (so tape values stay inf-free) but large enough
 # that exp(x - rowmax) underflows to exactly 0.0 for masked entries.
@@ -205,7 +201,7 @@ class Tape:
         out.backward_rule = rule
         return out
 
-    # -------------------------------------------------------------- elementwise
+    # ---------------------------------------------------------------- entrywise
 
     def add(self, a: Node, b: Node) -> Node:
         self._require_same_shape("add", a, b)
@@ -285,12 +281,6 @@ class Tape:
         out = self._record(y, (x,))
         out.backward_rule = lambda g: (g * 0.5 * (1.0 + np.tanh(0.5 * v)),)
         return out
-
-    def elementwise(self, kind: str, *inputs) -> Node:
-        """Dispatch by op name; same contracts as the named methods."""
-        if kind not in ELEMENTWISE_KINDS:
-            raise ValueError(f"unknown elementwise kind {kind!r}")
-        return getattr(self, kind)(*inputs)
 
     # ----------------------------------------------------------- row softmax
 

@@ -1,26 +1,27 @@
 """File formats for trained models, run reports, and trajectories.
 
-A model is stored as two files: ``model.bin``, the registry arrays
-concatenated flat as little-endian float64, and ``model.manifest.json``
-naming each array, its shape, and the training configuration plus the final
-pooling ratio.  The split keeps the dump trivially readable from any
-language.  Reports deliberately exclude wall-clock time so repeated runs
-with one seed produce byte-identical files.
+A model is stored as two files: ``model.bin``, the model's arrays in
+``param_spec`` order concatenated flat as little-endian float64, and
+``model.manifest.json`` naming each array, its shape, and the training
+configuration plus the final pooling ratio.  Loading checks that list
+against ``param_spec``.  The split keeps the dump trivially readable from
+any language.  Reports deliberately exclude wall-clock time so repeated
+runs with one seed produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import asdict
+from itertools import zip_longest
 
 import numpy as np
 
-from .encoder import EncoderParams
 from .errors import ConfigError
-from .sketch_mi import SketchParams
-from .trainer import ModelParams, RunReport, TrainConfig
+from .trainer import ModelParams, RunReport, TrainConfig, param_spec
 
 SCHEMA_VERSION = 1
 
@@ -32,8 +33,7 @@ def save_model(
     final_k: float,
     fold: int | None = None,
 ) -> None:
-    registry = model.registry()
-    flat = np.concatenate([arr.reshape(-1) for arr in registry.values()])
+    flat = np.concatenate([arr.reshape(-1) for arr in model.values()])
     with open(os.path.join(out_dir, "model.bin"), "wb") as fh:
         fh.write(flat.astype("<f8").tobytes())
     manifest = {
@@ -42,7 +42,7 @@ def save_model(
         "fold": fold,
         "config": asdict(config),
         "arrays": [
-            {"name": name, "shape": list(arr.shape)} for name, arr in registry.items()
+            {"name": name, "shape": list(arr.shape)} for name, arr in model.items()
         ],
     }
     _write_json(os.path.join(out_dir, "model.manifest.json"), manifest)
@@ -60,39 +60,30 @@ def load_model(out_dir: str) -> tuple[ModelParams, TrainConfig, float]:
         raise ConfigError(
             f"unsupported model schema {manifest.get('schema_version')!r}"
         )
-    flat = np.frombuffer(open(bin_path, "rb").read(), dtype="<f8").astype(np.float64)
-    arrays = {}
-    cursor = 0
-    for item in manifest["arrays"]:
-        size = int(np.prod(item["shape"]))
-        arrays[item["name"]] = flat[cursor : cursor + size].reshape(item["shape"]).copy()
-        cursor += size
-    if cursor != flat.size:
-        raise ConfigError(
-            f"model.bin holds {flat.size} values but the manifest describes {cursor}"
-        )
-
     config = TrainConfig(**manifest["config"])
-    layer_names = sorted(
-        (name for name in arrays if name.startswith("encoder.layer")),
-        key=lambda name: int(name.removeprefix("encoder.layer")),
+    declared = [(item["name"], tuple(item["shape"])) for item in manifest["arrays"]]
+    # Feature and class counts come from the two arrays that carry them;
+    # every other shape follows from the config.
+    shapes = dict(declared)
+    spec = param_spec(
+        shapes.get("encoder.layer0", (0,))[0], shapes.get("classifier.w", (0, 0))[1], config
     )
-    heads = sum(1 for name in arrays if name.startswith("sketch.w_inter"))
-    model = ModelParams(
-        encoder=EncoderParams(
-            layer_weights=tuple(arrays[name] for name in layer_names),
-            w_intra=arrays["encoder.w_intra"],
-            a_intra=arrays["encoder.a_intra"],
-        ),
-        projection=arrays["pool.p"],
-        sketch=SketchParams(
-            w_inter=tuple(arrays[f"sketch.w_inter{m}"] for m in range(heads)),
-            a_inter=tuple(arrays[f"sketch.a_inter{m}"] for m in range(heads)),
-            w_mi=arrays["sketch.w_mi"],
-        ),
-        classifier_w=arrays["classifier.w"],
-        classifier_b=arrays["classifier.b"],
-    )
+    for got, want in zip_longest(declared, spec):
+        if got != want:
+            raise ConfigError(
+                f"{manifest_path}: array {got} where its config expects {want}"
+            )
+    with open(bin_path, "rb") as fh:
+        flat = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
+    sizes = [math.prod(shape) for _, shape in spec]
+    if sum(sizes) != flat.size:
+        raise ConfigError(
+            f"{bin_path} holds {flat.size} values but the manifest describes {sum(sizes)}"
+        )
+    model, cursor = ModelParams(), 0
+    for (name, shape), size in zip(spec, sizes):
+        model[name] = flat[cursor : cursor + size].reshape(shape)
+        cursor += size
     return model, config, float(manifest["final_k"])
 
 

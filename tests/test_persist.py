@@ -1,5 +1,6 @@
 """Round-trip tests for model, report, trajectory, and ablation files."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -38,6 +39,35 @@ def test_model_round_trip_is_exact(tmp_path):
     assert list(original) == list(restored)
     for name in original:
         assert np.array_equal(original[name], restored[name]), name
+
+
+# The on-disk layout of init_model(default_rng(0), 7 features, 2 classes,
+# TrainConfig()): array order, names and shapes, and model.bin's bytes.
+# Glorot init is plain uniform draws with no BLAS, so the hash is portable.
+PINNED_ARRAYS = [
+    {"name": "encoder.layer0", "shape": [7, 16]},
+    {"name": "encoder.layer1", "shape": [16, 16]},
+    {"name": "encoder.w_intra", "shape": [16, 16]},
+    {"name": "encoder.a_intra", "shape": [16, 1]},
+    {"name": "pool.p", "shape": [16, 1]},
+    {"name": "sketch.w_inter0", "shape": [96, 16]},
+    {"name": "sketch.w_inter1", "shape": [96, 16]},
+    {"name": "sketch.a_inter0", "shape": [192, 1]},
+    {"name": "sketch.a_inter1", "shape": [192, 1]},
+    {"name": "sketch.w_mi", "shape": [96, 96]},
+    {"name": "classifier.w", "shape": [96, 2]},
+    {"name": "classifier.b", "shape": [1, 2]},
+]
+PINNED_SHA256 = "7024505e79553d958dfca9f92130e1a81844b242d5fd6dd886afadac57a2170a"
+
+
+def test_init_and_saved_layout_are_pinned(tmp_path):
+    config = TrainConfig()
+    save_model(str(tmp_path), init_model(np.random.default_rng(0), 7, 2, config), config, 0.5)
+    manifest = json.loads((tmp_path / "model.manifest.json").read_text())
+    assert manifest["arrays"] == PINNED_ARRAYS
+    blob = (tmp_path / "model.bin").read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == PINNED_SHA256
 
 
 def test_load_model_missing_file(tmp_path):

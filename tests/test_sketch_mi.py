@@ -1,26 +1,13 @@
 import numpy as np
 import pytest
 
-from subsketch.dataset import Graph
 from subsketch.diffcore import MASK_OFF, Tape
 from subsketch.errors import ConfigError
 from subsketch.sampler import SketchedGraph
-from subsketch.sketch_mi import (
-    BoundSketch,
-    MIBatchPlan,
-    attention_mask,
-    bilinear_logits,
-    bind_sketch,
-    corrupt,
-    discriminate,
-    init_sketch_params,
-    inter_attention,
-    inter_attention_details,
-    inter_attention_with_mask,
-    mi_loss,
-    readout,
-)
+from subsketch.sketch_mi import attention_mask, corrupt, inter_attention_with_mask, mi_loss
+from subsketch.trainer import TrainConfig, bind_model, init_model
 
+from _reference import bilinear_logits, inter_attention, inter_attention_details, readout
 from _synth import random_graph
 from gradcheck import assert_grads_close, finite_diff_grads
 
@@ -29,19 +16,17 @@ def sketch_of(m, edges=()):
     return SketchedGraph(supernodes=tuple(range(m)), edges=tuple(edges), b_com=0)
 
 
-def bind_arrays(tape, w_list, a_list, w_mi):
-    return BoundSketch(
-        w_inter=tuple(tape.param(w) for w in w_list),
-        a_inter=tuple(tape.param(a) for a in a_list),
-        w_mi=tape.param(w_mi),
-    )
+def bind_arrays(tape, w_list, a_list):
+    """Each head's (w, a) as parameter nodes: every w first, then every a."""
+    ws = [tape.param(w) for w in w_list]
+    return list(zip(ws, [tape.param(a) for a in a_list]))
 
 
 def test_single_supernode_passes_through_projection():
     rng = np.random.default_rng(0)
     w = rng.standard_normal((3, 2))
     tape = Tape()
-    bound = bind_arrays(tape, [w], [rng.standard_normal((6, 1))], np.eye(3))
+    bound = bind_arrays(tape, [w], [rng.standard_normal((6, 1))])
     zs = tape.constant(np.array([[0.4, -1.2]]))
     out = inter_attention(sketch_of(1), zs, bound, tape)
     np.testing.assert_allclose(out.value, zs.value @ w.T, atol=1e-12)
@@ -50,9 +35,7 @@ def test_single_supernode_passes_through_projection():
 def test_identical_supernodes_get_identical_outputs():
     rng = np.random.default_rng(1)
     tape = Tape()
-    bound = bind_arrays(
-        tape, [rng.standard_normal((4, 3))], [rng.standard_normal((8, 1))], np.eye(4)
-    )
+    bound = bind_arrays(tape, [rng.standard_normal((4, 3))], [rng.standard_normal((8, 1))])
     zs = tape.constant(np.tile([[0.2, 0.5, -0.3]], (2, 1)))
     out = inter_attention(sketch_of(2, [(0, 1)]), zs, bound, tape)
     np.testing.assert_allclose(out.value[0], out.value[1], atol=1e-12)
@@ -84,7 +67,7 @@ def test_matches_pairwise_concatenation_oracle(seed):
     w_list = [rng.standard_normal((5, 3)) for _ in range(2)]
     a_list = [rng.standard_normal((10, 1)) for _ in range(2)]
     tape = Tape()
-    bound = bind_arrays(tape, w_list, a_list, np.eye(5))
+    bound = bind_arrays(tape, w_list, a_list)
     out = inter_attention(sk, tape.constant(zs_value), bound, tape)
     want = gat_oracle(sk.adjacency_matrix() + np.eye(4), zs_value, w_list, a_list)
     assert np.max(np.abs(out.value - want)) <= 1e-10
@@ -98,7 +81,6 @@ def test_coefficients_normalized_per_head():
         tape,
         [rng.standard_normal((4, 3)) for _ in range(3)],
         [rng.standard_normal((8, 1)) for _ in range(3)],
-        np.eye(4),
     )
     _, alphas = inter_attention_details(
         sk, tape.constant(rng.standard_normal((5, 3))), bound, tape
@@ -118,7 +100,7 @@ def dense_batch_attention(additive_mask, zs, bound, tape):
     ones_row = tape.constant(np.ones((1, rows)))
     ones_col = tape.constant(np.ones((rows, 1)))
     heads = []
-    for w, a in zip(bound.w_inter, bound.a_inter):
+    for w, a in bound:
         d2 = w.shape[0]
         projected = tape.matmul(zs, tape.transpose(w))
         src = tape.matmul(projected, tape.take_rows(a, list(range(d2))))
@@ -155,13 +137,13 @@ def test_batched_attention_matches_dense_block_diagonal_reference(seed):
 
     def run(attend, mask):
         tape = Tape()
-        bound = bind_arrays(tape, w_list, a_list, np.eye(d2))
+        bound = bind_arrays(tape, w_list, a_list)
         zs = tape.param(zs_value)
         out = attend(mask, zs, bound, tape)
         if isinstance(out, tuple):
             out = out[0]
         grads = tape.backward(tape.sum(tape.mul(out, tape.constant(weighting))))
-        nodes = [zs, *bound.w_inter, *bound.a_inter]
+        nodes = [zs, *(w for w, _ in bound), *(a for _, a in bound)]
         return out.value, [grads[node] for node in nodes]
 
     batched_mask = np.vstack([attention_mask(sk) for sk in sketches])
@@ -177,9 +159,7 @@ def test_batched_coefficients_stay_inside_each_graph():
     rng = np.random.default_rng(7)
     sketches = [sketch_of(3), sketch_of(3, [(0, 1), (0, 2), (1, 2)])]
     tape = Tape()
-    bound = bind_arrays(
-        tape, [rng.standard_normal((4, 2))], [rng.standard_normal((8, 1))], np.eye(4)
-    )
+    bound = bind_arrays(tape, [rng.standard_normal((4, 2))], [rng.standard_normal((8, 1))])
     mask = np.vstack([attention_mask(sk) for sk in sketches])
     _, alphas = inter_attention_with_mask(
         mask, tape.constant(rng.standard_normal((6, 2))), bound, tape
@@ -193,7 +173,7 @@ def test_batched_coefficients_stay_inside_each_graph():
 
 def test_mask_must_tile_the_embeddings():
     tape = Tape()
-    bound = bind_arrays(tape, [np.eye(2)], [np.ones((4, 1))], np.eye(2))
+    bound = bind_arrays(tape, [np.eye(2)], [np.ones((4, 1))])
     zs = tape.constant(np.ones((6, 2)))
     with pytest.raises(ValueError, match="does not fit"):
         inter_attention_with_mask(np.zeros((6, 4)), zs, bound, tape)
@@ -203,9 +183,7 @@ def test_mask_must_tile_the_embeddings():
 
 def test_embedding_count_must_match_supernodes():
     tape = Tape()
-    bound = bind_arrays(
-        tape, [np.eye(2)], [np.ones((4, 1))], np.eye(2)
-    )
+    bound = bind_arrays(tape, [np.eye(2)], [np.ones((4, 1))])
     with pytest.raises(ValueError, match="supernodes"):
         inter_attention(sketch_of(3), tape.constant(np.ones((2, 2))), bound, tape)
 
@@ -227,21 +205,6 @@ def test_readout_mean_and_permutation_invariance():
         perm = rng.permutation(6)
         again = readout(tape.constant(rows[perm]), tape).value
         np.testing.assert_allclose(again, base, atol=1e-12)
-
-
-def test_discriminator_values():
-    tape = Tape()
-    d2 = 4
-    z = tape.constant(np.eye(d2)[:1])
-    r = tape.constant(np.eye(d2)[:1])
-    zero = discriminate(z, r, tape.constant(np.zeros((d2, d2))), tape)
-    assert zero.value[0, 0] == pytest.approx(0.5)
-    ident = discriminate(z, r, tape.constant(np.eye(d2)), tape)
-    assert ident.value[0, 0] == pytest.approx(1 / (1 + np.exp(-1)), abs=1e-6)
-    orthogonal = discriminate(
-        z, tape.constant(np.eye(d2)[1:2]), tape.constant(np.eye(d2)), tape
-    )
-    assert orthogonal.value[0, 0] == pytest.approx(0.5)
 
 
 def logit(p):
@@ -310,52 +273,34 @@ def test_mi_gradient_matches_finite_differences(seed):
 
 def test_corrupt_single_node_unchanged():
     g = random_graph(np.random.default_rng(0), num_nodes=1, edge_prob=0.0)
-    c = corrupt(g, np.random.default_rng(1))
-    np.testing.assert_array_equal(c.features, g.features)
-    assert c.edges == g.edges
+    cats = np.asarray(g.node_labels)
+    np.testing.assert_array_equal(corrupt(cats, np.random.default_rng(1)), cats)
 
 
 def test_corrupt_identical_rows_unchanged():
-    uniform = Graph(
-        index=0,
-        label=0,
-        edges=((0, 1), (2, 3)),
-        node_labels=(0, 0, 0, 0),
-        features=np.ones((4, 2)),
-    )
-    c = corrupt(uniform, np.random.default_rng(2))
-    np.testing.assert_array_equal(c.features, uniform.features)
+    cats = np.zeros(4, dtype=np.intp)
+    np.testing.assert_array_equal(corrupt(cats, np.random.default_rng(2)), cats)
 
 
 def test_corrupt_preserves_multiset_and_adjacency():
     g = random_graph(np.random.default_rng(3), num_nodes=5, edge_prob=0.5)
-    c = corrupt(g, np.random.default_rng(4))
-    assert c.edges == g.edges
-    assert c.num_nodes == g.num_nodes
-    assert sorted(c.node_labels) == sorted(g.node_labels)
-    assert sorted(map(tuple, c.features)) == sorted(map(tuple, g.features))
-    # Labels stay aligned with their permuted feature rows.
-    for cat, row in zip(c.node_labels, c.features):
-        assert row[cat] == 1.0
-
-
-def test_plan_validation():
-    MIBatchPlan(strategy="none", n_neg=0)
-    MIBatchPlan(strategy="alternative_graph", n_neg=3)
-    with pytest.raises(ConfigError, match="n_neg"):
-        MIBatchPlan(strategy="corrupt_features", n_neg=0)
-    with pytest.raises(ConfigError, match="unknown MI strategy"):
-        MIBatchPlan(strategy="shuffle", n_neg=1)
+    cats = np.asarray(g.node_labels)
+    shuffled = corrupt(cats, np.random.default_rng(4))
+    assert shuffled.shape == cats.shape
+    assert sorted(shuffled) == sorted(cats)
+    # The same draw as a permutation of the node ids: only categories move.
+    np.testing.assert_array_equal(shuffled, cats[np.random.default_rng(4).permutation(5)])
 
 
 def test_init_shapes():
-    params = init_sketch_params(np.random.default_rng(0), d1=16, d2=96, heads=2)
-    assert params.heads == 2
-    assert all(w.shape == (96, 16) for w in params.w_inter)
-    assert all(a.shape == (192, 1) for a in params.a_inter)
-    assert params.w_mi.shape == (96, 96)
+    config = TrainConfig(d1=16, d2=96, heads=2)
+    model = init_model(np.random.default_rng(0), 7, 2, config)
+    assert all(model[f"sketch.w_inter{m}"].shape == (96, 16) for m in range(2))
+    assert all(model[f"sketch.a_inter{m}"].shape == (192, 1) for m in range(2))
+    assert "sketch.w_inter2" not in model
+    assert model["sketch.w_mi"].shape == (96, 96)
     tape = Tape()
-    bound = bind_sketch(params, tape)
-    assert bound.w_mi.is_param
+    bound = bind_model(model, tape)
+    assert bound["sketch.w_mi"].is_param
     with pytest.raises(ConfigError):
-        init_sketch_params(np.random.default_rng(0), heads=0)
+        TrainConfig(heads=0)

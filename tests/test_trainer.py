@@ -3,17 +3,14 @@ import pytest
 
 from subsketch.dataset import Graph, make_folds
 from subsketch.diffcore import Tape
-from subsketch.encoder import encode_nodes, intra_attention, subgraph_features
+from subsketch.encoder import subgraph_features
 from subsketch.errors import ConfigError
-from subsketch.pooling import topk_select
 from subsketch.sampler import build_sketched_graph
-from subsketch.sketch_mi import inter_attention, readout
 from subsketch.trainer import (
     ModelParams,
     TrainConfig,
     batch_forward,
     bind_model,
-    classify_graph,
     cross_validate,
     evaluate_accuracy,
     init_model,
@@ -24,6 +21,16 @@ from subsketch.trainer import (
     train_fold,
 )
 
+from _reference import (
+    classify_graph,
+    encode_nodes,
+    encoder_of,
+    heads_of,
+    inter_attention,
+    intra_attention,
+    readout,
+    topk_select,
+)
 from _synth import planted_motif_dataset
 from gradcheck import finite_diff_grads, max_rel_err
 
@@ -162,28 +169,13 @@ def test_registry_covers_every_parameter_and_l2_matches(dataset):
     assert len(registry) == 2 + 2 + 1 + 2 * config.heads + 1 + 2
     tape = Tape()
     bound = bind_model(model, tape)
-    assert set(bound.by_name) == set(registry)
+    assert set(bound) == set(registry)
     dists = tape.constant(np.array([[0.5, 0.5]]))
     loss = total_loss(
-        dists, [0], None, list(bound.by_name.values()), beta=0.0, l2=1.0, tape=tape
+        dists, [0], None, list(bound.values()), beta=0.0, l2=1.0, tape=tape
     )
     want = -np.log(0.5) + sum(np.sum(a * a) for a in registry.values())
     assert loss.value[0, 0] == pytest.approx(want, rel=1e-12)
-
-
-def arrays_to_model(arrays, config, feature_dim, classes):
-    # Order matches ModelParams.registry(): all w_inter heads, then a_inter.
-    layer0, layer1, w_intra, a_intra, p, wi0, wi1, ai0, ai1, w_mi, cw, cb = arrays
-    from subsketch.encoder import EncoderParams
-    from subsketch.sketch_mi import SketchParams
-
-    return ModelParams(
-        encoder=EncoderParams((layer0, layer1), w_intra, a_intra),
-        projection=p,
-        sketch=SketchParams((wi0, wi1), (ai0, ai1), w_mi),
-        classifier_w=cw,
-        classifier_b=cb,
-    )
 
 
 @pytest.mark.parametrize("variant", ["full", "no_mi", "mi_corrupt"])
@@ -197,14 +189,14 @@ def test_full_model_gradients_match_finite_differences(dataset, variant):
     base_arrays = [model.registry()[name].copy() for name in names]
 
     def build(arrays):
-        m = arrays_to_model([a.copy() for a in arrays], config, 4, 2)
+        m = ModelParams(zip(names, [a.copy() for a in arrays]))
         tape = Tape(training=False)
         bound = bind_model(m, tape)
         result = batch_forward(
             bound, tensors, labels, 0.7, config, tape,
             corrupt_rng=np.random.default_rng(9),
         )
-        return tape, result.loss, [bound.by_name[n] for n in names]
+        return tape, result.loss, [bound[n] for n in names]
 
     tape, loss, nodes = build(base_arrays)
     grads = tape.backward(loss)
@@ -238,18 +230,19 @@ def test_batched_forward_matches_per_module_path(dataset):
     for b, tensor in enumerate(tensors):
         single = Tape(training=False)
         sb = bind_model(model, single)
+        enc = encoder_of(sb)
         z_rows = []
         for entry in tensor.subgraph_set.subgraphs:
-            h = encode_nodes(entry, tensor.graph.features, sb.encoder, single)
-            z_rows.append(intra_attention(h, entry.mask, sb.encoder, single).value[0])
+            h = encode_nodes(entry, tensor.graph.features, enc, single)
+            z_rows.append(intra_attention(h, entry.mask, enc, single).value[0])
         z_values = np.vstack(z_rows)
-        idx, gates = topk_select(z_values, model.projection, k)
+        idx, gates = topk_select(z_values, model["pool.p"], k)
         assert idx == result.state.selected_local[b]
         sk = build_sketched_graph(tensor.subgraph_set, idx, config.b_com)
         gated = z_values[idx] * gates[:, None]
-        zp = inter_attention(sk, single.constant(gated), sb.sketch, single)
+        zp = inter_attention(sk, single.constant(gated), heads_of(sb, config.heads), single)
         r = readout(zp, single)
-        graph_dist, _ = classify_graph(zp, sb.classifier_w, sb.classifier_b, single)
+        graph_dist, _ = classify_graph(zp, sb["classifier.w"], sb["classifier.b"], single)
 
         rows = [i for i, row in enumerate(result.state.selected_rows)
                 if row // config.n == b]
@@ -362,8 +355,8 @@ def test_stub_model_scores_class_proportion(dataset):
     config = tiny_config()
     tensors = {g.index: precompute_tensors(g, config.n, config.s) for g in dataset}
     model = init_model(np.random.default_rng(0), 4, 2, config)
-    model.classifier_w[:] = 0.0
-    model.classifier_b[:] = [[5.0, 0.0]]  # always vote class 0
+    model["classifier.w"][:] = 0.0
+    model["classifier.b"][:] = [[5.0, 0.0]]  # always vote class 0
     ids = [g.index for g in dataset]
     acc = evaluate_accuracy(model, tensors, ids, 0.5, config)
     want = sum(1 for g in dataset if g.label == 0) / len(dataset)
