@@ -60,31 +60,38 @@ def load_model(out_dir: str) -> tuple[ModelParams, TrainConfig, float]:
         raise ConfigError(
             f"unsupported model schema {manifest.get('schema_version')!r}"
         )
-    config = TrainConfig(**manifest["config"])
-    declared = [(item["name"], tuple(item["shape"])) for item in manifest["arrays"]]
-    # Feature and class counts come from the two arrays that carry them;
-    # every other shape follows from the config.
-    shapes = dict(declared)
-    spec = param_spec(
-        shapes.get("encoder.layer0", (0,))[0], shapes.get("classifier.w", (0, 0))[1], config
-    )
+    try:
+        config = TrainConfig(**manifest["config"])
+        declared = [(item["name"], tuple(item["shape"])) for item in manifest["arrays"]]
+        final_k = float(manifest["final_k"])
+        # Feature and class counts come from the two arrays that carry them;
+        # every other shape follows from the config.
+        shapes = dict(declared)
+        spec = param_spec(
+            shapes.get("encoder.layer0", (0,))[0], shapes.get("classifier.w", (0, 0))[1], config
+        )
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        # A missing field, an unknown config key or a bad value.
+        raise ConfigError(f"{manifest_path}: malformed manifest: {exc!r}") from None
     for got, want in zip_longest(declared, spec):
         if got != want:
             raise ConfigError(
                 f"{manifest_path}: array {got} where its config expects {want}"
             )
     with open(bin_path, "rb") as fh:
-        flat = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
+        blob = fh.read()
     sizes = [math.prod(shape) for _, shape in spec]
-    if sum(sizes) != flat.size:
+    if len(blob) != 8 * sum(sizes):
         raise ConfigError(
-            f"{bin_path} holds {flat.size} values but the manifest describes {sum(sizes)}"
+            f"{bin_path} holds {len(blob)} bytes but the manifest describes "
+            f"{sum(sizes)} float64 values"
         )
+    flat = np.frombuffer(blob, dtype="<f8").astype(np.float64)
     model, cursor = ModelParams(), 0
     for (name, shape), size in zip(spec, sizes):
         model[name] = flat[cursor : cursor + size].reshape(shape)
         cursor += size
-    return model, config, float(manifest["final_k"])
+    return model, config, final_k
 
 
 def write_report(

@@ -146,12 +146,16 @@ class GraphTensors:
 
 
 def _node_categories(graph: Graph) -> np.ndarray:
-    """``node_labels`` as an index array, checked to give the column of the
-    single 1.0 in each ``features`` row.  The check reads a nonzero count and
-    the picked entries, never a dense one-hot copy."""
+    """``node_labels`` as an index array.  Where the graph carries
+    ``features``, they are checked to hold the single 1.0 of each row in the
+    node's category column; the check reads a nonzero count and the picked
+    entries, never a dense one-hot copy."""
     cats = np.asarray(graph.node_labels, dtype=np.intp)
     feats, n = graph.features, len(cats)
-    if not (
+    if feats is None:
+        if n and cats.min() < 0:
+            raise ValueError(f"graph {graph.index}: node_labels must be non-negative")
+    elif not (
         feats.ndim == 2
         and feats.shape[0] == n
         and (n == 0 or (cats.min() >= 0 and cats.max() < feats.shape[1]))

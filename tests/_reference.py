@@ -4,14 +4,19 @@ The trainer runs every subgraph of a batch on one tape (block-diagonal
 propagation, a category lookup for the first layer, stacked attention
 blocks).  These functions compute the same model one graph at a time from
 dense feature rows and plain per-subgraph ops, so that tests can check the
-batched path against an independent formulation.  They are the oracle, not
-the product: nothing under ``src/`` calls them.
+batched path against an independent formulation.  Likewise
+:func:`parse_tu_lines` parses TU files one line at a time, the oracle for
+the bulk numpy parser.  They are the oracle, not the product: nothing under
+``src/`` calls them.
 """
 
+import os
 from typing import NamedTuple
 
 import numpy as np
 
+from subsketch.dataset import Graph, _read_column, _read_rows, _require
+from subsketch.errors import DatasetFormatError
 from subsketch.diffcore import MASK_OFF, Node, Tape
 from subsketch.encoder import propagation_matrix, subgraph_features
 from subsketch.pooling import rank_topk
@@ -155,3 +160,94 @@ def classify_graph(z_primes: Node, weights: Node, bias: Node, tape: Tape) -> tup
     sub_dists = tape.softmax_rows(logits)
     mean = tape.constant(np.full((1, m), 1.0 / m))
     return tape.matmul(mean, sub_dists), sub_dists
+
+
+# --------------------------------------------------------------- dataset
+
+
+def parse_tu_lines(dir_path: str, name: str) -> list[Graph]:
+    """Parse the TU files for ``name`` one line at a time, in the same order
+    of checks (and so with the same errors) as ``parse_tu_dataset``."""
+    a_path = _require(dir_path, f"{name}_A.txt")
+    ind_path = _require(dir_path, f"{name}_graph_indicator.txt")
+    lab_path = _require(dir_path, f"{name}_graph_labels.txt")
+    node_lab_path = os.path.join(dir_path, f"{name}_node_labels.txt")
+
+    graph_of_node = []  # 0-based graph ids
+    for lineno, gid in _read_column(ind_path, "graph id"):
+        if gid < 1:
+            raise DatasetFormatError(
+                f"{os.path.basename(ind_path)}:{lineno}: graph id {gid} is not positive"
+            )
+        graph_of_node.append(gid - 1)
+    num_nodes = len(graph_of_node)
+    if num_nodes == 0:
+        raise DatasetFormatError(f"{os.path.basename(ind_path)}: dataset has no nodes")
+    num_graphs = max(graph_of_node) + 1
+
+    raw_labels = _read_column(lab_path, "graph label")
+    if len(raw_labels) != num_graphs:
+        raise DatasetFormatError(
+            f"{os.path.basename(lab_path)}: {len(raw_labels)} labels for {num_graphs} graphs"
+        )
+    label_map = {raw: i for i, raw in enumerate(sorted({v for _, v in raw_labels}))}
+    labels = [label_map[v] for _, v in raw_labels]
+
+    # Local node numbering: nodes keep file order within their graph.
+    members: list[list[int]] = [[] for _ in range(num_graphs)]
+    local_id = []
+    for node, g in enumerate(graph_of_node):
+        local_id.append(len(members[g]))
+        members[g].append(node)
+    for g, nodes in enumerate(members):
+        if not nodes:
+            raise DatasetFormatError(
+                f"{os.path.basename(ind_path)}: graph {g + 1} has no nodes"
+            )
+
+    edge_sets: list[set[tuple[int, int]]] = [set() for _ in range(num_graphs)]
+    for lineno, values in _read_rows(a_path):
+        if len(values) != 2:
+            raise DatasetFormatError(
+                f"{name}_A.txt:{lineno}: expected an edge pair, got {len(values)} values"
+            )
+        u, v = values
+        if not (1 <= u <= num_nodes and 1 <= v <= num_nodes):
+            raise DatasetFormatError(
+                f"{name}_A.txt:{lineno}: node id out of range 1..{num_nodes}"
+            )
+        gu, gv = graph_of_node[u - 1], graph_of_node[v - 1]
+        if gu != gv:
+            raise DatasetFormatError(
+                f"{name}_A.txt:{lineno}: edge joins graph {gu + 1} and graph {gv + 1}"
+            )
+        if u == v:
+            continue
+        a, b = local_id[u - 1], local_id[v - 1]
+        edge_sets[gu].add((min(a, b), max(a, b)))
+
+    if os.path.isfile(node_lab_path):
+        raw_node_labels = _read_column(node_lab_path, "node label")
+        if len(raw_node_labels) != num_nodes:
+            raise DatasetFormatError(
+                f"{os.path.basename(node_lab_path)}: {len(raw_node_labels)} labels for {num_nodes} nodes"
+            )
+        node_values = [v for _, v in raw_node_labels]
+    else:
+        # Degree fallback: one category per distinct degree value.
+        node_values = [0] * num_nodes
+        for g, edges in enumerate(edge_sets):
+            for a, b in edges:
+                node_values[members[g][a]] += 1
+                node_values[members[g][b]] += 1
+
+    category = {raw: i for i, raw in enumerate(sorted(set(node_values)))}
+    return [
+        Graph(
+            index=g,
+            label=labels[g],
+            edges=tuple(sorted(edge_sets[g])),
+            node_labels=tuple(category[node_values[node]] for node in members[g]),
+        )
+        for g in range(num_graphs)
+    ]

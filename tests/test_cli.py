@@ -212,6 +212,24 @@ def test_evaluate_without_model(workspace, capsys):
     assert "missing model file" in capsys.readouterr().err
 
 
+def _doctored_model(trained, tmp_path):
+    """A copy of the trained model's files; returns the manifest path and dict."""
+    _, out = trained
+    for file in ("model.bin", "model.manifest.json"):
+        shutil.copy(out / file, tmp_path / file)
+    manifest_path = tmp_path / "model.manifest.json"
+    return manifest_path, json.loads(manifest_path.read_text())
+
+
+def _evaluate_exit(root, out_dir):
+    return main([
+        "evaluate",
+        "--dataset", "SYN",
+        "--data-dir", str(root / "data"),
+        "--out-dir", str(out_dir),
+    ])
+
+
 @pytest.mark.parametrize(
     "target, name, shape",
     [
@@ -223,23 +241,61 @@ def test_evaluate_without_model(workspace, capsys):
 def test_evaluate_rejects_manifest_off_the_parameter_spec(
     trained, tmp_path, capsys, target, name, shape
 ):
-    root, out = trained
-    for file in ("model.bin", "model.manifest.json"):
-        shutil.copy(out / file, tmp_path / file)
-    manifest_path = tmp_path / "model.manifest.json"
-    manifest = json.loads(manifest_path.read_text())
+    manifest_path, manifest = _doctored_model(trained, tmp_path)
     entry = next(item for item in manifest["arrays"] if item["name"] == target)
     entry["name"], entry["shape"] = name, shape
     manifest_path.write_text(json.dumps(manifest))
+    assert _evaluate_exit(trained[0], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert str(manifest_path) in err and name in err
+
+
+def test_evaluate_rejects_array_entry_without_shape(trained, tmp_path, capsys):
+    manifest_path, manifest = _doctored_model(trained, tmp_path)
+    del manifest["arrays"][2]["shape"]
+    manifest_path.write_text(json.dumps(manifest))
+    assert _evaluate_exit(trained[0], tmp_path) == 2
+    assert str(manifest_path) in capsys.readouterr().err
+
+
+def test_evaluate_rejects_unknown_config_key(trained, tmp_path, capsys):
+    manifest_path, manifest = _doctored_model(trained, tmp_path)
+    manifest["config"]["bogus"] = 1
+    manifest_path.write_text(json.dumps(manifest))
+    assert _evaluate_exit(trained[0], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert str(manifest_path) in err and "bogus" in err
+
+
+def test_evaluate_rejects_model_bin_of_partial_values(trained, tmp_path, capsys):
+    _doctored_model(trained, tmp_path)
+    blob = tmp_path / "model.bin"
+    blob.write_bytes(blob.read_bytes()[:-3])
+    assert _evaluate_exit(trained[0], tmp_path) == 2
+    assert str(blob) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (b"1\xe9", "non-ASCII byte 0xe9"),
+        (b"99999999999999999999", "64-bit integer range"),
+    ],
+)
+def test_train_rejects_malformed_bytes(workspace, tmp_path, capsys, line, message):
+    dataset_dir = tmp_path / "data" / "SYN"
+    shutil.copytree(workspace / "data" / "SYN", dataset_dir)
+    indicator = dataset_dir / "SYN_graph_indicator.txt"
+    rows = indicator.read_bytes().splitlines()
+    rows[4] = line
+    indicator.write_bytes(b"\n".join(rows) + b"\n")
     args = [
-        "evaluate",
-        "--dataset", "SYN",
-        "--data-dir", str(root / "data"),
-        "--out-dir", str(tmp_path),
+        "train", "--dataset", "SYN", "--data-dir", str(tmp_path / "data"),
+        "--out-dir", str(tmp_path / "out"), "--epochs", "1",
     ]
     assert main(args) == 2
     err = capsys.readouterr().err
-    assert str(manifest_path) in err and name in err
+    assert "SYN_graph_indicator.txt:5: " in err and message in err
 
 
 def test_missing_dataset_directory(workspace, capsys):

@@ -1,8 +1,13 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import subsketch.dataset as dataset
+from _reference import parse_tu_lines
 from subsketch.dataset import (
     Graph,
     batches,
@@ -45,14 +50,12 @@ def test_parse_fixture(tmp_path):
     assert (tri.index, tri.label) == (0, 0)  # raw -1 -> class 0
     assert tri.edges == ((0, 1), (0, 2), (1, 2))
     assert tri.node_labels == (0, 0, 1)  # raw 7,7,8 under {7:0, 8:1, 9:2}
-    np.testing.assert_array_equal(
-        tri.features, np.array([[1, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
-    )
+    assert tri.features is None  # categories only, no dense rows
 
     assert (path.index, path.label) == (1, 1)
     assert path.edges == ((0, 1), (1, 2), (2, 3))
     assert path.node_labels == (1, 2, 2, 0)
-    assert path.features.shape == (4, 3)
+    assert dataset_stats(graphs).feature_dim == 3
     assert path.neighbors() == [[1], [0, 2], [1, 3], [2]]
     assert path.degrees() == [1, 2, 2, 1]
 
@@ -63,7 +66,7 @@ def test_degree_fallback_without_node_labels(tmp_path):
     # Distinct degrees are {1, 2}; triangle nodes all have degree 2.
     assert tri.node_labels == (1, 1, 1)
     assert path.node_labels == (0, 1, 1, 0)
-    assert tri.features.shape == (3, 2)
+    assert dataset_stats([tri, path]).feature_dim == 2
 
 
 def test_missing_file_names_the_file(tmp_path):
@@ -129,7 +132,6 @@ def assert_same_graphs(a, b):
         assert x.label == y.label
         assert x.edges == y.edges
         assert x.node_labels == y.node_labels
-        np.testing.assert_array_equal(x.features, y.features)
 
 
 @st.composite
@@ -164,6 +166,158 @@ def test_round_trip_random(tmp_path_factory, raw):
     out = tmp_path / "copy"
     write_tu_dataset(first, str(out), "R")
     assert_same_graphs(first, parse_tu_dataset(str(out), "R"))
+
+
+def test_ungrouped_indicator_keeps_each_nodes_label(tmp_path):
+    write_lines(tmp_path / "U_A.txt", ["1, 3", "3, 1", "4, 2"])
+    write_lines(tmp_path / "U_graph_indicator.txt", [1, 2, 1, 2])
+    write_lines(tmp_path / "U_graph_labels.txt", [0, 1])
+    write_lines(tmp_path / "U_node_labels.txt", [10, 20, 30, 40])
+    first, second = parse_tu_dataset(str(tmp_path), "U")
+    # Graph 1 holds file nodes 1 and 3, graph 2 holds nodes 2 and 4.
+    assert first.node_labels == (0, 2) and first.edges == ((0, 1),)
+    assert second.node_labels == (1, 3) and second.edges == ((0, 1),)
+
+
+def test_clean_files_skip_the_line_reader(tmp_path, monkeypatch):
+    write_fixture(tmp_path)
+
+    def unused(path):
+        raise AssertionError(f"line reader called on {path}")
+
+    monkeypatch.setattr(dataset, "_read_rows", unused)
+    assert len(parse_tu_dataset(str(tmp_path), "TOY")) == 2
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (b"1\n1\n1\xe9\n", r"TOY_graph_indicator\.txt:3: non-ASCII byte 0xe9"),
+        (b"1\n99999999999999999999\n", r"TOY_graph_indicator\.txt:2: .*64-bit integer range"),
+    ],
+)
+def test_malformed_bytes_name_file_and_line(tmp_path, text, message):
+    write_fixture(tmp_path)
+    (tmp_path / "TOY_graph_indicator.txt").write_bytes(text)
+    with pytest.raises(DatasetFormatError, match=message):
+        parse_tu_dataset(str(tmp_path), "TOY")
+
+
+# --- the bulk parser against the line-by-line oracle ---------------------
+
+SEPARATORS = (", ", ",", " , ", " ", "\t", " ,\t")
+
+
+@st.composite
+def tu_files(draw, messy=st.booleans()):
+    """Text of a valid TU dataset: ungrouped graph ids, self-loops,
+    duplicate edges, optional node labels (else the degree fallback), and
+    per file either clean comma rows or messy ones with blank lines,
+    spaces, tabs and ``+`` signs."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    owner = draw(st.permutations([g for g, n in enumerate(sizes) for _ in range(n)]))
+    edges = []
+    for g in range(len(sizes)):
+        nodes = [i + 1 for i, o in enumerate(owner) if o == g]
+        pair = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))
+        edges += draw(st.lists(pair, max_size=6))
+    tables = {
+        "A": draw(st.permutations(edges)),
+        "graph_indicator": [(o + 1,) for o in owner],
+        "graph_labels": [
+            (draw(st.sampled_from([-1, 0, 1, 7])),) for _ in sizes
+        ],
+    }
+    if draw(st.booleans()):
+        tables["node_labels"] = [(draw(st.integers(-3, 3)),) for _ in owner]
+    files = {}
+    for suffix, rows in tables.items():
+        if not draw(messy):
+            lines = [", ".join(map(str, row)) for row in rows]
+        else:
+            lines = []
+            for row in rows:
+                if draw(st.booleans()):
+                    lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+                sep = draw(st.sampled_from(SEPARATORS))
+                sign = draw(st.sampled_from(["", "+"]))
+                tokens = [str(v) if v < 0 else sign + str(v) for v in row]
+                pad = draw(st.sampled_from(["", " ", "\t"]))
+                lines.append(pad + sep.join(tokens) + pad)
+        files[suffix] = lines
+    return files
+
+
+def junk_rows(num_nodes):
+    """Lines a TU file should not hold, or holds only in other files: ragged
+    rows, non-integer tokens, ``#``, non-ASCII bytes, values outside int64,
+    control characters, and ids just around the valid range."""
+    node_id = st.integers(-1, num_nodes + 2)
+    return st.one_of(
+        st.sampled_from([
+            "1, 2, 3", "1 2 3", "x", "1.5", "#", "# 1", "1, 2 # edge", "0x1", "1_0",
+            "99999999999999999999", "-99999999999999999999", "9223372036854775807",
+            "-9223372036854775808", "-1", "0", "1,", ",", "++1", "1\x002", "\x0c",
+            "\x1c", "1\x1c2", "1\x0b2", "1\r2", "   ", "1, 1",
+        ]),
+        # Latin-1 would read \xa0 as a space; the files must be ASCII.
+        st.sampled_from(["\xe9", "1\xe9", "\xa01", "1,\xa02"]),
+        node_id.map(str),
+        st.tuples(node_id, node_id).map(lambda p: f"{p[0]}, {p[1]}"),
+    )
+
+
+def _outcome(parse, files):
+    """The parsed graphs' fields, or the DatasetFormatError message."""
+    with tempfile.TemporaryDirectory() as root:
+        for suffix, lines in files.items():
+            with open(os.path.join(root, f"R_{suffix}.txt"), "wb") as fh:
+                fh.write("".join(f"{line}\n" for line in lines).encode("latin-1"))
+        try:
+            graphs = parse(root, "R")
+        except DatasetFormatError as exc:
+            return str(exc)
+    assert all(g.features is None for g in graphs)
+    return [(g.index, g.label, g.edges, g.node_labels) for g in graphs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(tu_files())
+def test_parser_matches_line_oracle(files):
+    want = _outcome(parse_tu_lines, files)
+    assert not isinstance(want, str), want
+    assert _outcome(parse_tu_dataset, files) == want
+
+
+@pytest.mark.parametrize(
+    "messy", [st.just(False), st.booleans()], ids=["clean", "mixed"]
+)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_junk_rows_fail_like_the_line_oracle(messy, data):
+    """Clean files send the junk line through the bulk reader; mixed ones
+    also cover the order of checks across bulk and line-read files."""
+    files = data.draw(tu_files(messy))
+    suffix = data.draw(st.sampled_from(sorted(files)))
+    lines = files[suffix]
+    at = data.draw(st.integers(0, len(lines)))
+    junk = data.draw(junk_rows(len(files["graph_indicator"])))
+    if data.draw(st.booleans()) and at < len(lines):
+        lines[at] = junk
+    else:
+        lines.insert(at, junk)
+    assert _outcome(parse_tu_dataset, files) == _outcome(parse_tu_lines, files)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tu_files(messy=st.just(False)), st.data())
+def test_clean_edge_rows_near_the_id_range_fail_like_the_line_oracle(files, data):
+    """Every example puts an edge row with ids around 1..num_nodes into a
+    clean edge file, so the bulk range and same-graph checks decide."""
+    node_id = st.integers(-1, len(files["graph_indicator"]) + 2)
+    u, v = data.draw(node_id), data.draw(node_id)
+    files["A"].insert(data.draw(st.integers(0, len(files["A"]))), f"{u}, {v}")
+    assert _outcome(parse_tu_dataset, files) == _outcome(parse_tu_lines, files)
 
 
 def tiny_graph(index, label):

@@ -268,6 +268,12 @@ def test_precompute_rejects_features_that_are_not_one_hot_labels(features):
         precompute_tensors(graph, 2, 2)
 
 
+def test_precompute_rejects_negative_categories_without_features():
+    graph = Graph(index=7, label=0, edges=((0, 1),), node_labels=(0, -1))
+    with pytest.raises(ValueError, match="graph 7"):
+        precompute_tensors(graph, 2, 2)
+
+
 def test_mi_corrupt_shuffles_each_graph_once(dataset, monkeypatch):
     import subsketch.trainer as trainer
 
