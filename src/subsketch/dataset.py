@@ -93,10 +93,6 @@ class DatasetStats:
     avg_nodes: float
     class_counts: tuple[int, ...]
 
-    @property
-    def majority_rate(self) -> float:
-        return max(self.class_counts) / self.num_graphs
-
 
 def _read_rows(path: str) -> list[tuple[int, tuple[int, ...]]]:
     """Read a TU file as (line_number, ints) rows, skipping blank lines."""

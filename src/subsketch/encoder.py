@@ -1,4 +1,5 @@
-"""Per-subgraph constants for node encoding, plus the Glorot initializer.
+"""Constants for node encoding over a graph's subgraph arrays, plus the
+Glorot initializer.
 
 Message passing is symmetric-normalized graph convolution with self-loops:
 ``H' = tanh(D^{-1/2} (A + I) D^{-1/2} H W)`` applied per layer, restricted to
@@ -6,8 +7,9 @@ the real (unmasked) rows of the padded subgraph; padded rows stay exactly
 zero.  A learned attention then scores each node, softmaxes over the real
 nodes, and returns the weighted sum as the subgraph embedding.
 
-This module builds the constants each subgraph contributes (its propagation
-matrix and its padded node categories); the trainer runs the layers and the
+This module builds the constants a graph's :class:`~.sampler.SubgraphSet`
+contributes, all n subgraphs at once: the (n, s, s) propagation matrices and
+the (n*s,) padded node categories.  The trainer runs the layers and the
 attention for every subgraph of a batch at once on the tape.
 """
 
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sampler import SubgraphEntry
+from .sampler import SubgraphSet
 
 
 def glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -23,29 +25,25 @@ def glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(rows, cols))
 
 
-def propagation_matrix(entry: SubgraphEntry) -> np.ndarray:
-    """Constant ``D^{-1/2} (A + I) D^{-1/2}`` of the padded subgraph.
+def propagation_matrix(adjacency: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Constant ``D^{-1/2} (A + I) D^{-1/2}`` of padded subgraphs.
 
-    Self-loops are added on real rows only, so padded rows and columns of
-    the result are zero and padded node states never mix in.
+    ``adjacency`` is (..., s, s) and ``mask`` (..., s) with any leading
+    shape.  Self-loops are added on real rows only, so padded rows and
+    columns of the result are zero and padded node states never mix in.
     """
-    a_tilde = entry.local_adjacency + np.diag(entry.mask.astype(np.float64))
-    degree = a_tilde.sum(axis=1)
+    a_tilde = adjacency + mask[..., None] * np.eye(mask.shape[-1])
+    degree = a_tilde.sum(axis=-1)
     inv_sqrt = np.zeros_like(degree)
     nonzero = degree > 0
     inv_sqrt[nonzero] = degree[nonzero] ** -0.5
-    return inv_sqrt[:, None] * a_tilde * inv_sqrt[None, :]
+    return inv_sqrt[..., :, None] * a_tilde * inv_sqrt[..., None, :]
 
 
-def subgraph_features(entry: SubgraphEntry, graph_features: np.ndarray) -> np.ndarray:
-    """Constant per-node block of the padded subgraph: graph rows for real
-    nodes, zero pads.
+def subgraph_features(subgraph_set: SubgraphSet, categories: np.ndarray) -> np.ndarray:
+    """(n*s,) node categories of the stacked padded subgraphs, subgraph i in
+    rows [i*s, (i+1)*s); pad entries hold category 0.
 
-    ``graph_features`` is either a ``num_nodes x d`` feature matrix, giving an
-    ``s x d`` block, or a ``(num_nodes,)`` category vector, giving ``(s,)``
-    categories; the output keeps the input's dtype.
+    ``categories`` is the graph's (num_nodes,) category vector.
     """
-    s = entry.mask.shape[0]
-    out = np.zeros((s,) + graph_features.shape[1:], dtype=graph_features.dtype)
-    out[: len(entry.node_ids)] = graph_features[list(entry.node_ids)]
-    return out
+    return np.where(subgraph_set.mask, categories[subgraph_set.nodes], 0).reshape(-1)

@@ -43,32 +43,32 @@ def explain_graph(
     gates = state.gates.value[:, 0]
     sub_dists = result.sub_dists.value
     intra = state.intra_weights.value
-    selected = state.selected_local[0]
-    entries = tensors.subgraph_set.subgraphs
+    selected = state.selected[0].tolist()
+    ss = tensors.subgraph_set
+    members = [row[real].tolist() for row, real in zip(ss.nodes, ss.mask)]
 
     subgraphs = []
-    for i, entry in enumerate(entries):
+    for i, nodes in enumerate(members):
         subgraphs.append(
             {
                 "index": i,
-                "central_node": entry.central_node,
-                "nodes": list(entry.node_ids),
+                "central_node": nodes[0],
+                "nodes": nodes,
                 "val": float(values[i]),
                 "selected": i in selected,
             }
         )
     selected_detail = []
     for rank, i in enumerate(selected):
-        entry = entries[i]
         selected_detail.append(
             {
                 "index": i,
                 "val": float(values[i]),
                 "gate": float(gates[rank]),
-                "nodes": list(entry.node_ids),
+                "nodes": members[i],
                 "intra_weights": {
                     str(node): float(w)
-                    for node, w in zip(entry.node_ids, intra[i][entry.mask])
+                    for node, w in zip(members[i], intra[i][ss.mask[i]])
                 },
                 "class_distribution": [float(x) for x in sub_dists[rank]],
             }

@@ -55,10 +55,18 @@ def load_model(out_dir: str) -> tuple[ModelParams, TrainConfig, float]:
         if not os.path.isfile(path):
             raise FileNotFoundError(f"missing model file: {path}")
     with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:  # invalid JSON or invalid UTF-8
+            raise ConfigError(f"{manifest_path}: not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ConfigError(
+            f"{manifest_path}: expected a JSON object, got {type(manifest).__name__}"
+        )
     if manifest.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(
-            f"unsupported model schema {manifest.get('schema_version')!r}"
+            f"{manifest_path}: unsupported model schema "
+            f"{manifest.get('schema_version')!r}"
         )
     try:
         config = TrainConfig(**manifest["config"])
@@ -77,6 +85,12 @@ def load_model(out_dir: str) -> tuple[ModelParams, TrainConfig, float]:
         if got != want:
             raise ConfigError(
                 f"{manifest_path}: array {got} where its config expects {want}"
+            )
+    for name, shape in spec:
+        if any(type(dim) is not int or dim < 1 for dim in shape):
+            raise ConfigError(
+                f"{manifest_path}: array {name} has shape {list(shape)}; "
+                "dimensions must be positive integers"
             )
     with open(bin_path, "rb") as fh:
         blob = fh.read()
@@ -129,24 +143,6 @@ def write_trajectory(path: str, trajectories: list[list[dict]]) -> None:
                 )
                 out["terminated"] = int(row["terminated"])
                 writer.writerow(out)
-
-
-def read_trajectory(path: str) -> list[dict]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = []
-        for row in csv.DictReader(fh):
-            rows.append(
-                {
-                    "fold": int(row["fold"]),
-                    "epoch": int(row["epoch"]),
-                    "loss": float(row["loss"]),
-                    "train_acc": float(row["train_acc"]),
-                    "k": float(row["k"]),
-                    "reward": None if row["reward"] == "" else float(row["reward"]),
-                    "terminated": bool(int(row["terminated"])),
-                }
-            )
-        return rows
 
 
 def write_ablation(path: str, rows: list[dict]) -> None:

@@ -6,17 +6,22 @@ node id; graphs with fewer than ``n`` nodes wrap around the ranking so
 shapes stay fixed).  BFS visits neighbors in ascending id order and stops
 after ``s`` nodes; smaller components are padded out and masked.
 
+A graph's subgraphs are one :class:`SubgraphSet` of fixed-shape arrays:
+``nodes`` (n, s) holds the node ids in BFS order (column 0 is the root, pads
+hold 0), ``mask`` (n, s) marks the real entries, ``adjacency`` (n, s, s) is
+each subgraph's induced 0/1 adjacency (pad rows and columns zero, no
+self-loops) and ``overlap`` (n, n) counts the real nodes two subgraphs share.
+
 The sketched graph treats selected subgraphs as supernodes and connects two
 of them when they share strictly more than ``b_com`` original nodes.  The
-shared-node counts of every pair are computed once per graph, when it is
-sampled, so building a sketch on each training step only indexes them.
+shared-node counts are computed once per graph, when it is sampled, so
+building a sketch on each training step only indexes them.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,26 +29,15 @@ from .dataset import Graph
 
 
 @dataclass(frozen=True, eq=False)
-class SubgraphEntry:
-    central_node: int
-    node_ids: tuple[int, ...]  # real nodes only, node_ids[0] is the root
-    local_adjacency: np.ndarray  # (s, s) symmetric, padded rows/cols zero
-    mask: np.ndarray  # (s,) bool, True marks real rows
-
-
-@dataclass(frozen=True, eq=False)
 class SubgraphSet:
-    graph_id: int
-    subgraphs: tuple[SubgraphEntry, ...]
-    overlap: np.ndarray  # (n, n) real nodes shared by subgraphs i and j
+    nodes: np.ndarray  # (n, s) intp node ids, BFS order; pads hold 0
+    mask: np.ndarray  # (n, s) bool, True marks real entries
+    adjacency: np.ndarray  # (n, s, s) float64 induced adjacency, pads zero
+    overlap: np.ndarray  # (n, n) int16 real nodes shared by subgraphs i and j
 
     @property
     def n(self) -> int:
-        return len(self.subgraphs)
-
-    @property
-    def s(self) -> int:
-        return self.subgraphs[0].mask.shape[0]
+        return self.nodes.shape[0]
 
 
 def _bfs_truncated(adj: list[list[int]], root: int, limit: int) -> list[int]:
@@ -67,96 +61,76 @@ def sample_subgraphs(graph: Graph, n: int, s: int) -> SubgraphSet:
     """Extract ``n`` degree-ranked BFS subgraphs of at most ``s`` nodes each."""
     if n < 1 or s < 1:
         raise ValueError(f"need n >= 1 and s >= 1, got n={n}, s={s}")
-    if graph.num_nodes == 0:
+    size = graph.num_nodes
+    if size == 0:
         raise ValueError(f"cannot sample subgraphs from empty graph {graph.index}")
     adj = graph.neighbors()
     degree = graph.degrees()
-    ranking = sorted(range(graph.num_nodes), key=lambda v: (-degree[v], v))
+    ranking = sorted(range(size), key=lambda v: (-degree[v], v))
 
-    entries = []
+    nodes = np.zeros((n, s), dtype=np.intp)
+    mask = np.zeros((n, s), dtype=bool)
     for i in range(n):
-        root = ranking[i % graph.num_nodes]
-        nodes = _bfs_truncated(adj, root, s)
-        position = {u: a for a, u in enumerate(nodes)}
-        local = np.zeros((s, s), dtype=np.float64)
-        for a, u in enumerate(nodes):
-            for w in adj[u]:
-                b = position.get(w)
-                if b is not None and b != a:  # no self-loops
-                    local[a, b] = 1.0
-        mask = np.zeros(s, dtype=bool)
-        mask[: len(nodes)] = True
-        entries.append(
-            SubgraphEntry(
-                central_node=root,
-                node_ids=tuple(nodes),
-                local_adjacency=local,
-                mask=mask,
-            )
-        )
+        order = _bfs_truncated(adj, ranking[i % size], s)
+        nodes[i, : len(order)] = order
+        mask[i, : len(order)] = True
+
+    # Induced adjacency: look every (u, v) pair of a subgraph up among the
+    # graph's directed edge keys u * size + v, closed by a sentinel key
+    # larger than any pair so that every lookup position is valid.
+    edges = np.asarray(graph.edges, dtype=np.intp).reshape(-1, 2)
+    u, v = edges[:, 0], edges[:, 1]
+    keys = np.sort(np.concatenate([u * size + v, v * size + u, [size * size]]))
+    pairs = nodes[:, :, None] * size + nodes[:, None, :]
+    linked = keys[np.searchsorted(keys, pairs)] == pairs
+    linked &= mask[:, :, None] & mask[:, None, :]
+    linked[:, np.arange(s), np.arange(s)] = False  # no self-loops
     return SubgraphSet(
-        graph_id=graph.index, subgraphs=tuple(entries), overlap=overlap_counts(entries)
+        nodes=nodes,
+        mask=mask,
+        adjacency=linked.astype(np.float64),
+        overlap=overlap_counts(nodes, mask),
     )
 
 
-def overlap_counts(entries: Sequence[SubgraphEntry]) -> np.ndarray:
+def overlap_counts(nodes: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """(n, n) matrix: how many real nodes subgraphs i and j share."""
-    flat = [v for e in entries for v in e.node_ids]
-    row = np.repeat(np.arange(len(entries)), [len(e.node_ids) for e in entries])
-    member = np.zeros((len(entries), max(flat) + 1))
-    member[row, flat] = 1.0
+    member = np.zeros((nodes.shape[0], nodes[mask].max() + 1))
+    member[np.nonzero(mask)[0], nodes[mask]] = 1.0
     # A count is at most s, far below 2**15 for any (s, s) adjacency that
     # fits in memory; the narrow type keeps one matrix per graph cheap.
     return (member @ member.T).astype(np.int16)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SketchedGraph:
     """Supernode graph over the selected subgraphs.
 
-    ``supernodes`` holds the selected subgraph indices; ``edges`` are pairs
-    of *positions* into that tuple, undirected with no self-loops.
+    ``supernodes`` holds the selected subgraph indices; ``adjacency`` is the
+    read-only (m, m) 0/1 matrix over *positions* into that tuple, symmetric
+    with a zero diagonal.
     """
 
     supernodes: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-    b_com: int
-    # Dense read-only form of ``edges``; built from them when not given.
-    adjacency: np.ndarray | None = field(default=None, compare=False, repr=False)
+    adjacency: np.ndarray
 
     def __post_init__(self):
-        if self.adjacency is None:
-            m = len(self.supernodes)
-            out = np.zeros((m, m), dtype=np.float64)
-            for i, j in self.edges:
-                out[i, j] = out[j, i] = 1.0
-            object.__setattr__(self, "adjacency", out)
         self.adjacency.flags.writeable = False
 
-    def adjacency_matrix(self) -> np.ndarray:
-        return self.adjacency
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Undirected edges as position pairs ``(i, j)``, ``i < j``, row-major."""
+        rows, cols = np.nonzero(np.triu(self.adjacency, 1))
+        return tuple(zip(rows.tolist(), cols.tolist()))
 
 
 def build_sketched_graph(
-    subgraph_sets: SubgraphSet | list[SubgraphEntry],
-    idx: list[int],
-    b_com: int = 0,
+    subgraph_set: SubgraphSet, idx: list[int], b_com: int = 0
 ) -> SketchedGraph:
     """Connect selected subgraphs that share more than ``b_com`` real nodes."""
     if not idx:
         raise ValueError("cannot build a sketched graph from no supernodes")
-    overlap = (
-        subgraph_sets.overlap
-        if isinstance(subgraph_sets, SubgraphSet)
-        else overlap_counts(subgraph_sets)
-    )
     sel = np.asarray(idx, dtype=np.intp)
-    linked = overlap[sel[:, None], sel] > b_com  # overlap[idx][:, idx]
+    linked = subgraph_set.overlap[sel[:, None], sel] > b_com  # overlap[idx][:, idx]
     np.fill_diagonal(linked, False)
-    rows, cols = np.nonzero(linked)  # row-major order
-    return SketchedGraph(
-        supernodes=tuple(idx),
-        edges=tuple((i, j) for i, j in zip(rows.tolist(), cols.tolist()) if i < j),
-        b_com=b_com,
-        adjacency=linked.astype(np.float64),
-    )
+    return SketchedGraph(supernodes=tuple(idx), adjacency=linked.astype(np.float64))

@@ -27,7 +27,7 @@ def attention_mask(sk: SketchedGraph) -> np.ndarray:
 
     The diagonal keeps attention well-defined for isolated supernodes.
     """
-    allowed = sk.adjacency_matrix() + np.eye(len(sk.supernodes))
+    allowed = sk.adjacency + np.eye(len(sk.supernodes))
     return np.where(allowed > 0, 0.0, MASK_OFF)
 
 

@@ -5,11 +5,14 @@ The forward pass is fully batched for CPU efficiency: every subgraph of
 every graph in the batch lives in one big tape, with block-diagonal
 propagation for the per-subgraph convolutions.  Node features are one-hot
 categories, so the first layer's product X W0 is a row lookup of W0 by each
-node's category; no dense feature block is built.  Every graph keeps the same
-number M of supernodes, so sketch attention runs on (B*M, M) blocks, one
-M x M block per graph, and never forms cross-graph pairs.  Per-graph
-bookkeeping (top-k selection, sketched-graph construction) happens on plain
-numpy values between tape ops.
+node's category; no dense feature block is built.  A graph's constants are
+fixed-shape arrays built once (:func:`precompute_tensors`): (n, s, s)
+propagation blocks, (n*s,) categories and an (n, s) attention mask.  Every
+graph keeps the same number M of supernodes, so the selection is one (B, M)
+array of subgraph indices, supernode rows are grouped by graph, and sketch
+attention runs on (B*M, M) blocks, one M x M block per graph, never forming
+cross-graph pairs.  Top-k ranking and sketched-graph construction run per
+graph on plain numpy values between tape ops.
 
 Variants:
     full        adaptive k, negatives from the next graph in the batch
@@ -29,7 +32,7 @@ import numpy as np
 from .dataset import FoldPlan, Graph, batches, dataset_stats, make_folds
 from .diffcore import MASK_OFF, Node, Tape
 from .encoder import glorot, propagation_matrix, subgraph_features
-from .errors import ConfigError
+from .errors import ConfigError, TrainingDiverged
 from .pooling import PoolingAgent, annealed_epsilon, rank_topk
 from .sampler import SketchedGraph, SubgraphSet, build_sketched_graph, sample_subgraphs
 from .sketch_mi import attention_mask, corrupt, inter_attention_with_mask, mi_loss
@@ -140,7 +143,7 @@ class GraphTensors:
 
     graph: Graph
     subgraph_set: SubgraphSet
-    prop_blocks: np.ndarray  # (n, s, s)
+    prop_blocks: np.ndarray  # (n, s, s) propagation matrices
     feats: np.ndarray  # (n*s,) intp node category per stacked row; pads hold 0
     attn_off: np.ndarray  # (n, s): 0 for real nodes, MASK_OFF for padding
 
@@ -171,12 +174,13 @@ def _node_categories(graph: Graph) -> np.ndarray:
 def precompute_tensors(graph: Graph, n: int, s: int) -> GraphTensors:
     cats = _node_categories(graph)
     ss = sample_subgraphs(graph, n, s)
-    prop = np.stack([propagation_matrix(e) for e in ss.subgraphs])
-    feats = np.concatenate([subgraph_features(e, cats) for e in ss.subgraphs])
-    attn_off = np.stack(
-        [np.where(e.mask, 0.0, MASK_OFF) for e in ss.subgraphs]
+    return GraphTensors(
+        graph,
+        ss,
+        propagation_matrix(ss.adjacency, ss.mask),
+        subgraph_features(ss, cats),
+        np.where(ss.mask, 0.0, MASK_OFF),
     )
-    return GraphTensors(graph, ss, prop, feats, attn_off)
 
 
 def predict_label(distribution: np.ndarray) -> int:
@@ -201,6 +205,8 @@ def total_loss(
         tape.mul(graph_dists, tape.constant(onehot)),
         tape.constant(np.ones((classes, 1))),
     )
+    if not np.all(picked.value > 0.0):
+        raise TrainingDiverged("the vote probability of a true class reached 0")
     loss = tape.scale(tape.sum(tape.log(picked)), -1.0 / b)
     if mi_value is not None and beta != 0.0:
         loss = tape.add(loss, tape.scale(mi_value, beta))
@@ -230,17 +236,18 @@ def sgd_momentum_step(
 
 @dataclass(eq=False)
 class PipelineState:
-    """Tape nodes and per-graph bookkeeping from one selection pipeline."""
+    """Tape nodes and per-graph bookkeeping from one selection pipeline.
 
-    embeddings: Node  # (B*n, d1) subgraph embeddings before selection
+    Supernode rows (``gates``, ``z_primes``) are grouped by graph: graph b
+    owns rows [b*M, (b+1)*M), in the order of ``selected[b]``.
+    """
+
     values: Node  # (B*n, 1) projection scores
     intra_weights: Node  # (B*n, s)
-    selected_local: list[list[int]]  # per graph, local subgraph indices
-    selected_rows: list[int]  # global row ids into embeddings
-    gates: Node  # (m', 1)
+    selected: np.ndarray  # (B, M) kept subgraph indices per graph, best first
+    gates: Node  # (B*M, 1)
     sketches: list[SketchedGraph]
-    z_primes: Node  # (m', d2)
-    alphas: list[Node]  # per-head (m', M) coefficients, M per graph
+    z_primes: Node  # (B*M, d2)
 
 
 def _run_pipeline(
@@ -287,19 +294,18 @@ def _run_pipeline(
     raw = tape.matmul(embeddings, p)
     values = tape.div(raw, tape.matmul(tape.constant(np.ones((m, 1))), norm))
 
-    # Per-graph top-k on the numeric scores.
+    # Per-graph top-k on the numeric scores; every graph keeps the same M.
     flat = values.value[:, 0]
-    selected_local: list[list[int]] = []
-    selected_rows: list[int] = []
-    sketches: list[SketchedGraph] = []
-    for b, tensor in enumerate(tensors):
-        local = rank_topk(flat[b * n : (b + 1) * n], k)
-        selected_local.append(local)
-        selected_rows.extend(b * n + i for i in local)
-        sketches.append(build_sketched_graph(tensor.subgraph_set, local, config.b_com))
+    local = [rank_topk(flat[b * n : (b + 1) * n], k) for b in range(batch)]
+    sketches = [
+        build_sketched_graph(t.subgraph_set, sel, config.b_com)
+        for t, sel in zip(tensors, local)
+    ]
+    selected = np.array(local, dtype=np.intp)
+    rows = (selected + n * np.arange(batch)[:, None]).reshape(-1)
 
-    chosen = tape.take_rows(embeddings, selected_rows)
-    gates = tape.sigmoid(tape.take_rows(values, selected_rows))
+    chosen = tape.take_rows(embeddings, rows)
+    gates = tape.sigmoid(tape.take_rows(values, rows))
     gated = tape.mul(chosen, tape.matmul(gates, tape.constant(np.ones((1, d1)))))
 
     # Sketch attention per graph: each graph keeps the same count M, so the
@@ -309,30 +315,16 @@ def _run_pipeline(
         (bound[f"sketch.w_inter{i}"], bound[f"sketch.a_inter{i}"])
         for i in range(config.heads)
     ]
-    z_primes, alphas = inter_attention_with_mask(mask, gated, heads, tape)
+    z_primes, _ = inter_attention_with_mask(mask, gated, heads, tape)
 
     return PipelineState(
-        embeddings=embeddings,
         values=values,
         intra_weights=intra_weights,
-        selected_local=selected_local,
-        selected_rows=selected_rows,
+        selected=selected,
         gates=gates,
         sketches=sketches,
         z_primes=z_primes,
-        alphas=alphas,
     )
-
-
-def _expansion(selected_local: list[list[int]]) -> np.ndarray:
-    """(m', B) one-hot rows mapping each supernode to its graph column."""
-    counts = [len(sel) for sel in selected_local]
-    out = np.zeros((sum(counts), len(counts)))
-    offset = 0
-    for b, count in enumerate(counts):
-        out[offset : offset + count, b] = 1.0
-        offset += count
-    return out
 
 
 @dataclass(eq=False)
@@ -358,9 +350,12 @@ def batch_forward(
     compute_loss: bool = True,
 ) -> ForwardResult:
     state = _run_pipeline(bound, tensors, k, config, tape, rng)
-    expand_pos = _expansion(state.selected_local)  # (m', B)
-    # (B, m') rows that average each graph's supernode block.
-    averager = tape.constant(expand_pos.T / expand_pos.sum(axis=0)[:, None])
+    batch, kept = state.selected.shape
+    # (B*M, B) one-hot rows mapping each supernode to its graph column; the
+    # corrupted pass keeps the same count M, so both MI strategies share it.
+    expansion = np.repeat(np.eye(batch), kept, axis=0)
+    # (B, B*M) rows that average each graph's supernode block.
+    averager = tape.constant(expansion.T / kept)
     readouts = tape.matmul(averager, state.z_primes)  # (B, d2)
 
     m_sel = state.z_primes.shape[0]
@@ -383,7 +378,7 @@ def batch_forward(
         scored = tape.matmul(state.z_primes, bound["sketch.w_mi"])
         d2_ones = tape.constant(np.ones((config.d2, 1)))
         pos = tape.matmul(
-            tape.mul(scored, tape.matmul(tape.constant(expand_pos), readouts)),
+            tape.mul(scored, tape.matmul(tape.constant(expansion), readouts)),
             d2_ones,
         )
         if strategy == "alternative_graph":
@@ -391,7 +386,7 @@ def batch_forward(
                 raise ConfigError(
                     "alternative_graph negatives need a batch of at least 2 graphs"
                 )
-            expand_neg = np.roll(expand_pos, -1, axis=1)  # next graph, cyclic
+            expand_neg = np.roll(expansion, -1, axis=1)  # next graph, cyclic
             neg = tape.matmul(
                 tape.mul(scored, tape.matmul(tape.constant(expand_neg), readouts)),
                 d2_ones,
@@ -399,21 +394,19 @@ def batch_forward(
         else:  # corrupt_features: re-run the pipeline on shuffled features
             # One shuffle per graph, shared by all its subgraphs, so that
             # overlapping subgraphs agree on each node's corrupted category.
-            shuffled = []
-            for t in tensors:
-                cats = corrupt(np.asarray(t.graph.node_labels, dtype=np.intp), corrupt_rng)
-                shuffled.append(
-                    np.concatenate(
-                        [subgraph_features(e, cats) for e in t.subgraph_set.subgraphs]
-                    )
+            shuffled = [
+                subgraph_features(
+                    t.subgraph_set,
+                    corrupt(np.asarray(t.graph.node_labels, dtype=np.intp), corrupt_rng),
                 )
+                for t in tensors
+            ]
             twisted = _run_pipeline(
                 bound, tensors, k, config, tape, rng, feats_override=shuffled
             )
             scored_neg = tape.matmul(twisted.z_primes, bound["sketch.w_mi"])
-            expand_neg = _expansion(twisted.selected_local)
             neg = tape.matmul(
-                tape.mul(scored_neg, tape.matmul(tape.constant(expand_neg), readouts)),
+                tape.mul(scored_neg, tape.matmul(tape.constant(expansion), readouts)),
                 d2_ones,
             )
         mi = mi_loss(pos, neg, tape)
@@ -515,29 +508,36 @@ def train_fold(
         epoch_loss = 0.0
         epoch_correct = 0
         epoch_graphs = 0
-        for batch_ids in batches(train_ids, config.batch_size, seed, epoch):
+        for step, batch_ids in enumerate(
+            batches(train_ids, config.batch_size, seed, epoch)
+        ):
             batch_tensors = [tensors[i] for i in batch_ids]
             labels = [tensors[i].graph.label for i in batch_ids]
             tape = Tape(training=True)
             bound = bind_model(model, tape)
-            result = batch_forward(
-                bound,
-                batch_tensors,
-                labels,
-                k_used,
-                config,
-                tape,
-                rng=rng_dropout,
-                corrupt_rng=rng_corrupt,
-            )
-            grads = tape.backward(result.loss)
-            sgd_momentum_step(
-                model,
-                {name: grads[node] for name, node in bound.items()},
-                config.lr,
-                config.momentum,
-                velocity,
-            )
+            try:
+                result = batch_forward(
+                    bound,
+                    batch_tensors,
+                    labels,
+                    k_used,
+                    config,
+                    tape,
+                    rng=rng_dropout,
+                    corrupt_rng=rng_corrupt,
+                )
+                grads = tape.backward(result.loss)
+                grads = {name: grads[node] for name, node in bound.items()}
+                if not np.isfinite(result.loss.value[0, 0]) or not all(
+                    np.isfinite(g).all() for g in grads.values()
+                ):
+                    raise TrainingDiverged("the loss or a gradient is not finite")
+            except TrainingDiverged as exc:
+                raise TrainingDiverged(
+                    f"training diverged in fold {fold}, epoch {epoch}, "
+                    f"batch {step}: {exc}"
+                ) from None
+            sgd_momentum_step(model, grads, config.lr, config.momentum, velocity)
             epoch_loss += result.loss.value[0, 0] * len(batch_ids)
             epoch_correct += result.correct
             epoch_graphs += len(batch_ids)

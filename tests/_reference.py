@@ -2,14 +2,17 @@
 
 The trainer runs every subgraph of a batch on one tape (block-diagonal
 propagation, a category lookup for the first layer, stacked attention
-blocks).  These functions compute the same model one graph at a time from
-dense feature rows and plain per-subgraph ops, so that tests can check the
-batched path against an independent formulation.  Likewise
-:func:`parse_tu_lines` parses TU files one line at a time, the oracle for
-the bulk numpy parser.  They are the oracle, not the product: nothing under
-``src/`` calls them.
+blocks) from array constants built for all of a graph's subgraphs at once.
+These functions compute the same model one subgraph at a time: sampling
+and precompute with per-subgraph loops (:func:`precompute_reference`),
+then encoding from dense feature rows with plain per-subgraph ops, so that
+tests can check the batched path against an independent formulation.
+Likewise :func:`parse_tu_lines` parses TU files one line at a time, the
+oracle for the bulk numpy parser.  They are the oracle, not the product:
+nothing under ``src/`` calls them.
 """
 
+import csv
 import os
 from typing import NamedTuple
 
@@ -18,9 +21,8 @@ import numpy as np
 from subsketch.dataset import Graph, _read_column, _read_rows, _require
 from subsketch.errors import DatasetFormatError
 from subsketch.diffcore import MASK_OFF, Node, Tape
-from subsketch.encoder import propagation_matrix, subgraph_features
 from subsketch.pooling import rank_topk
-from subsketch.sampler import SketchedGraph, SubgraphEntry
+from subsketch.sampler import SketchedGraph, SubgraphSet, _bfs_truncated, overlap_counts
 from subsketch.sketch_mi import attention_mask, inter_attention_with_mask
 
 
@@ -46,6 +48,101 @@ def heads_of(bound: dict[str, Node], heads: int) -> list[tuple[Node, Node]]:
     return [(bound[f"sketch.w_inter{m}"], bound[f"sketch.a_inter{m}"]) for m in range(heads)]
 
 
+# ------------------------------------------------------ sampling, precompute
+
+
+class SubgraphEntry(NamedTuple):
+    """One sampled subgraph on its own."""
+
+    central_node: int
+    node_ids: tuple  # real nodes only, node_ids[0] is the root
+    local_adjacency: np.ndarray  # (s, s) symmetric, padded rows/cols zero
+    mask: np.ndarray  # (s,) bool, True marks real rows
+
+
+def sample_entries(graph: Graph, n: int, s: int) -> list[SubgraphEntry]:
+    """``sample_subgraphs`` one subgraph at a time (same BFS), with a dict
+    lookup per neighbour for the induced adjacency."""
+    adj = graph.neighbors()
+    degree = graph.degrees()
+    ranking = sorted(range(graph.num_nodes), key=lambda v: (-degree[v], v))
+    entries = []
+    for i in range(n):
+        root = ranking[i % graph.num_nodes]
+        nodes = _bfs_truncated(adj, root, s)
+        position = {u: a for a, u in enumerate(nodes)}
+        local = np.zeros((s, s), dtype=np.float64)
+        for a, u in enumerate(nodes):
+            for w in adj[u]:
+                b = position.get(w)
+                if b is not None and b != a:
+                    local[a, b] = 1.0
+        mask = np.zeros(s, dtype=bool)
+        mask[: len(nodes)] = True
+        entries.append(SubgraphEntry(root, tuple(nodes), local, mask))
+    return entries
+
+
+def entry_propagation(entry: SubgraphEntry) -> np.ndarray:
+    """``D^{-1/2} (A + I) D^{-1/2}`` of one padded subgraph."""
+    a_tilde = entry.local_adjacency + np.diag(entry.mask.astype(np.float64))
+    degree = a_tilde.sum(axis=1)
+    inv_sqrt = np.zeros_like(degree)
+    nonzero = degree > 0
+    inv_sqrt[nonzero] = degree[nonzero] ** -0.5
+    return inv_sqrt[:, None] * a_tilde * inv_sqrt[None, :]
+
+
+def entry_rows(entry: SubgraphEntry, graph_values: np.ndarray) -> np.ndarray:
+    """Graph rows (or categories) of the real nodes, zero pads: ``s x ...``."""
+    out = np.zeros((len(entry.mask),) + graph_values.shape[1:], dtype=graph_values.dtype)
+    out[: len(entry.node_ids)] = graph_values[list(entry.node_ids)]
+    return out
+
+
+def entry_overlap(entries: list[SubgraphEntry]) -> np.ndarray:
+    """(n, n) shared real-node counts by set intersection."""
+    return np.array(
+        [[len(set(a.node_ids) & set(b.node_ids)) for b in entries] for a in entries],
+        dtype=np.int16,
+    )
+
+
+def precompute_reference(graph: Graph, n: int, s: int) -> dict[str, np.ndarray]:
+    """``precompute_tensors``' arrays, built one subgraph at a time."""
+    entries = sample_entries(graph, n, s)
+    cats = np.asarray(graph.node_labels, dtype=np.intp)
+    return {
+        "prop_blocks": np.stack([entry_propagation(e) for e in entries]),
+        "feats": np.concatenate([entry_rows(e, cats) for e in entries]),
+        "attn_off": np.stack([np.where(e.mask, 0.0, MASK_OFF) for e in entries]),
+        "overlap": entry_overlap(entries),
+    }
+
+
+def entries_of(subgraph_set: SubgraphSet) -> list[SubgraphEntry]:
+    """Each subgraph of a set as an entry of its own."""
+    return [
+        SubgraphEntry(int(nodes[0]), tuple(nodes[mask].tolist()), adjacency, mask)
+        for nodes, mask, adjacency in zip(
+            subgraph_set.nodes, subgraph_set.mask, subgraph_set.adjacency
+        )
+    ]
+
+
+def subgraph_set_of(entries: list[SubgraphEntry]) -> SubgraphSet:
+    """Stack entries, padded to the widest, into a :class:`SubgraphSet`."""
+    s = max(len(e.mask) for e in entries)
+    nodes = np.zeros((len(entries), s), dtype=np.intp)
+    mask = np.zeros((len(entries), s), dtype=bool)
+    adjacency = np.zeros((len(entries), s, s))
+    for i, e in enumerate(entries):
+        nodes[i, : len(e.node_ids)] = e.node_ids
+        mask[i, : len(e.mask)] = e.mask
+        adjacency[i, : len(e.mask), : len(e.mask)] = e.local_adjacency
+    return SubgraphSet(nodes, mask, adjacency, overlap_counts(nodes, mask))
+
+
 # --------------------------------------------------------------- encoder
 
 
@@ -57,9 +154,10 @@ def encode_nodes(
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> Node:
-    """Run the layered propagation for one subgraph; returns ``s x d1``."""
-    prop = tape.constant(propagation_matrix(entry), name="prop")
-    h = tape.constant(subgraph_features(entry, graph_features), name="h0")
+    """Run the layered propagation for one subgraph from dense feature rows;
+    returns ``s x d1``."""
+    prop = tape.constant(entry_propagation(entry), name="prop")
+    h = tape.constant(entry_rows(entry, graph_features), name="h0")
     for layer, weight in enumerate(enc.layer_weights):
         if layer > 0 and dropout_rate > 0.0:
             h = tape.dropout(h, dropout_rate, rng)
@@ -251,3 +349,23 @@ def parse_tu_lines(dir_path: str, name: str) -> list[Graph]:
         )
         for g in range(num_graphs)
     ]
+
+
+# ----------------------------------------------------------------- files
+
+
+def read_trajectory(path: str) -> list[dict]:
+    """Rows of a ``trajectory.csv`` with their fields typed back."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return [
+            {
+                "fold": int(row["fold"]),
+                "epoch": int(row["epoch"]),
+                "loss": float(row["loss"]),
+                "train_acc": float(row["train_acc"]),
+                "k": float(row["k"]),
+                "reward": None if row["reward"] == "" else float(row["reward"]),
+                "terminated": bool(int(row["terminated"])),
+            }
+            for row in csv.DictReader(fh)
+        ]

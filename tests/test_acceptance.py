@@ -19,10 +19,13 @@ import pytest
 
 from _reference import (
     Encoder,
+    SubgraphEntry,
     encode_nodes,
+    entries_of,
     inter_attention_details,
     intra_attention_weights,
     readout,
+    subgraph_set_of,
     topk_select,
 )
 from _synth import planted_motif_dataset, random_graph
@@ -37,12 +40,7 @@ from subsketch.diffcore import Tape
 from subsketch.encoder import glorot
 from subsketch.explain import explain_graph, write_graph_json
 from subsketch.pooling import PoolingAgent, annealed_epsilon
-from subsketch.sampler import (
-    SketchedGraph,
-    SubgraphEntry,
-    build_sketched_graph,
-    sample_subgraphs,
-)
+from subsketch.sampler import SketchedGraph, build_sketched_graph, sample_subgraphs
 from subsketch.trainer import (
     ModelParams,
     TrainConfig,
@@ -152,7 +150,7 @@ def test_criterion_2_oracle_suite():
         adj = {v: sorted(nb) for v, nb in enumerate(graph.neighbors())}
         ranked = sorted(range(graph.num_nodes), key=lambda v: (-len(adj[v]), v))
         assert result.n == n
-        for i, entry in enumerate(result.subgraphs):
+        for i, entry in enumerate(entries_of(result)):
             root = ranked[i % graph.num_nodes]
             seen = {root}
             order = [root]
@@ -198,7 +196,7 @@ def test_criterion_2_oracle_suite():
             for x in rng.choice(count, size=int(rng.integers(1, count + 1)), replace=False)
         )
         b_com = int(rng.integers(0, 4))
-        sketch = build_sketched_graph(entries, chosen, b_com)
+        sketch = build_sketched_graph(subgraph_set_of(entries), chosen, b_com)
         want = set()
         for i in range(len(chosen)):
             for j in range(i + 1, len(chosen)):
@@ -315,7 +313,7 @@ def test_criterion_7_property_suite():
             tape.param(glorot(rng, d1, 1)),
         )
         # Intra-subgraph attention is a distribution over real nodes only.
-        for entry in subgraph_set.subgraphs:
+        for entry in entries_of(subgraph_set):
             h = encode_nodes(entry, graph.features, enc, tape)
             weights = intra_attention_weights(h, entry.mask, enc, tape).value[0]
             assert abs(weights.sum() - 1.0) < 1e-12
@@ -337,13 +335,9 @@ def test_criterion_7_property_suite():
         summary = readout(out, tape)
 
         perm = [int(x) for x in rng.permutation(n)]
-        inverse = {old: new for new, old in enumerate(perm)}
         permuted_sketch = SketchedGraph(
             supernodes=tuple(sketch.supernodes[i] for i in perm),
-            edges=tuple(
-                tuple(sorted((inverse[i], inverse[j]))) for i, j in sketch.edges
-            ),
-            b_com=sketch.b_com,
+            adjacency=sketch.adjacency[np.ix_(perm, perm)],
         )
         zs_perm = tape.constant(zs.value[perm])
         out_perm, _ = inter_attention_details(

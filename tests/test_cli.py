@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
 import re
 import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _reference import read_trajectory
 from _synth import planted_motif_dataset
 from subsketch.cli import (
     DATASET_DEFAULTS,
@@ -18,7 +23,7 @@ from subsketch.cli import (
 )
 from subsketch.dataset import write_tu_dataset
 from subsketch.errors import ConfigError
-from subsketch.persist import read_trajectory
+from subsketch.persist import load_model
 from subsketch.trainer import VARIANTS
 
 
@@ -236,6 +241,7 @@ def _evaluate_exit(root, out_dir):
         ("pool.p", "pool.q", [16, 1]),  # renamed
         ("encoder.layer1", "encoder.layer1", [8, 32]),  # same size as [16, 16]
         ("encoder.layer0", "encoder.layer0", [2, 8]),  # no config gives this
+        ("encoder.layer0", "encoder.layer0", [4.0, 16]),  # equal, but not an int
     ],
 )
 def test_evaluate_rejects_manifest_off_the_parameter_spec(
@@ -265,6 +271,53 @@ def test_evaluate_rejects_unknown_config_key(trained, tmp_path, capsys):
     assert _evaluate_exit(trained[0], tmp_path) == 2
     err = capsys.readouterr().err
     assert str(manifest_path) in err and "bogus" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"schema_version": 1,, "arrays": []}', "not valid JSON"),
+        ("[1, 2]", "expected a JSON object"),
+    ],
+)
+def test_evaluate_rejects_manifest_that_is_not_a_json_object(
+    trained, tmp_path, capsys, text, message
+):
+    manifest_path, _ = _doctored_model(trained, tmp_path)
+    manifest_path.write_text(text)
+    assert _evaluate_exit(trained[0], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert str(manifest_path) in err and message in err
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    target=st.sampled_from(("model.manifest.json", "model.bin")),
+    truncate=st.booleans(),
+    where=st.floats(0.0, 1.0, exclude_max=True),
+    flip=st.integers(1, 255),
+)
+def test_damaged_model_files_load_or_exit_two(trained, target, truncate, where, flip):
+    """A truncated or byte-flipped model file either still loads or fails
+    with an error the CLI reports with exit 2; nothing else escapes."""
+    root, out = trained
+    with tempfile.TemporaryDirectory() as tmp:
+        for file in ("model.bin", "model.manifest.json"):
+            shutil.copy(out / file, os.path.join(tmp, file))
+        path = os.path.join(tmp, target)
+        with open(path, "rb") as fh:
+            blob = bytearray(fh.read())
+        at = int(where * len(blob))
+        if truncate:
+            del blob[at:]
+        else:
+            blob[at] ^= flip
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        try:
+            load_model(tmp)
+        except (ConfigError, FileNotFoundError):
+            assert _evaluate_exit(root, tmp) == 2
 
 
 def test_evaluate_rejects_model_bin_of_partial_values(trained, tmp_path, capsys):
@@ -316,6 +369,20 @@ def test_unknown_config_key_exits_with_two(workspace, tmp_path, capsys):
     args = ["train", "--config", str(config)]
     assert main(args) == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_diverging_training_exits_one_naming_fold_epoch_and_batch(
+    workspace, tmp_path, capsys
+):
+    config = tmp_path / "hot.cfg"
+    config.write_text("lr = 10\nl2 = 0\nbatch_size = 4\n")
+    args = _train_args(workspace, "out_hot", extra=["--config", str(config)])
+    args[args.index("--epochs") + 1] = "3"
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"error: training diverged in fold \d+, epoch \d+, batch \d+: [^\n]+\n", err
+    ), err
 
 
 def test_invalid_flag_value_exits_with_two(workspace, capsys):

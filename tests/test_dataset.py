@@ -113,7 +113,6 @@ def test_stats(tmp_path):
     assert stats.max_nodes == 4
     assert stats.avg_nodes == pytest.approx(3.5)
     assert stats.class_counts == (1, 1)
-    assert stats.majority_rate == pytest.approx(0.5)
 
 
 def test_round_trip_fixture(tmp_path):

@@ -3,10 +3,18 @@ import pytest
 
 from subsketch.diffcore import Tape
 from subsketch.encoder import propagation_matrix, subgraph_features
-from subsketch.sampler import SubgraphEntry, sample_subgraphs
+from subsketch.sampler import sample_subgraphs
 from subsketch.trainer import TrainConfig, bind_model, init_model
 
-from _reference import Encoder, encode_nodes, intra_attention, intra_attention_weights
+from _reference import (
+    Encoder,
+    SubgraphEntry,
+    encode_nodes,
+    entries_of,
+    intra_attention,
+    intra_attention_weights,
+    subgraph_set_of,
+)
 from _synth import random_graph
 from gradcheck import assert_grads_close, finite_diff_grads
 
@@ -72,7 +80,7 @@ def gcn_oracle(entry, graph_features, layer_weights):
 def test_matches_dense_message_oracle(seed):
     rng = np.random.default_rng(seed)
     g = random_graph(rng, num_nodes=10, edge_prob=0.35)
-    entry = sample_subgraphs(g, n=1, s=4).subgraphs[0]
+    entry = entries_of(sample_subgraphs(g, n=1, s=4))[0]
     weights = [rng.standard_normal((2, 5)), rng.standard_normal((5, 5))]
     tape = Tape()
     bound = bind_arrays(tape, weights, np.eye(5), np.ones((5, 1)))
@@ -95,10 +103,10 @@ def test_padded_rows_stay_zero():
     )
     h = encode_nodes(entry, feats, bound, tape)
     np.testing.assert_array_equal(h.value[2:], np.zeros((2, 3)))
-    prop = propagation_matrix(entry)
+    prop = propagation_matrix(entry.local_adjacency, entry.mask)
     np.testing.assert_array_equal(prop, prop.T)
-    assert subgraph_features(entry, feats).shape == (4, 2)
-    cats = subgraph_features(entry, np.array([1, 0], dtype=np.intp))
+    np.testing.assert_array_equal(prop[2:], 0.0)
+    cats = subgraph_features(subgraph_set_of([entry]), np.array([1, 0], dtype=np.intp))
     assert cats.dtype == np.intp
     np.testing.assert_array_equal(cats, [1, 0, 0, 0])
 
@@ -175,7 +183,7 @@ def test_all_masked_rejected():
 def test_gradients_match_finite_differences(seed):
     rng = np.random.default_rng(40 + seed)
     g = random_graph(rng, num_nodes=9, edge_prob=0.3)
-    entry = sample_subgraphs(g, n=2, s=4).subgraphs[1]
+    entry = entries_of(sample_subgraphs(g, n=2, s=4))[1]
     weighting = rng.standard_normal((1, 3))
     arrays = [
         rng.standard_normal((2, 3)) * 0.6,

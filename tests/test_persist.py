@@ -10,13 +10,14 @@ from subsketch.errors import ConfigError
 from subsketch.persist import (
     SCHEMA_VERSION,
     load_model,
-    read_trajectory,
     save_model,
     write_ablation,
     write_report,
     write_trajectory,
 )
 from subsketch.trainer import RunReport, TrainConfig, init_model
+
+from _reference import read_trajectory
 
 
 def small_config(**overrides) -> TrainConfig:

@@ -39,7 +39,8 @@ def full_run(graphs):
 
 def test_learns_planted_motif(graphs, full_run):
     report, _ = full_run
-    majority = dataset_stats(graphs).majority_rate
+    stats = dataset_stats(graphs)
+    majority = max(stats.class_counts) / stats.num_graphs
     assert majority == 0.5
     assert report.mean_accuracy > majority + 0.15
 
@@ -99,5 +100,6 @@ def test_wall_clock_recorded(full_run):
 
 def test_corrupt_negative_sampling_also_learns(graphs):
     report, _ = cross_validate(graphs, replace(LEARN, variant="mi_corrupt"))
-    majority = dataset_stats(graphs).majority_rate
+    stats = dataset_stats(graphs)
+    majority = max(stats.class_counts) / stats.num_graphs
     assert report.mean_accuracy > majority + 0.1

@@ -4,6 +4,7 @@ import pytest
 from subsketch.dataset import Graph
 from subsketch.sampler import build_sketched_graph, sample_subgraphs
 
+from _reference import entries_of, entry_overlap, sample_entries
 from _synth import random_graph
 
 
@@ -41,49 +42,46 @@ def bfs_oracle(edges, root, limit):
 def test_star_hub_and_lowest_leaves():
     star = graph_from_edges(6, [(0, i) for i in range(1, 6)])
     ss = sample_subgraphs(star, n=1, s=4)
-    entry = ss.subgraphs[0]
-    assert entry.central_node == 0
-    assert entry.node_ids == (0, 1, 2, 3)
-    assert entry.mask.all()
-    want = np.zeros((4, 4))
-    want[0, 1:] = want[1:, 0] = 1.0
-    np.testing.assert_array_equal(entry.local_adjacency, want)
+    assert ss.nodes.dtype == np.intp
+    np.testing.assert_array_equal(ss.nodes, [[0, 1, 2, 3]])
+    assert ss.mask.all()
+    want = np.zeros((1, 4, 4))
+    want[0, 0, 1:] = want[0, 1:, 0] = 1.0
+    np.testing.assert_array_equal(ss.adjacency, want)
 
 
 def test_path_center_one_ring():
     path = graph_from_edges(5, [(i, i + 1) for i in range(4)])
     ss = sample_subgraphs(path, n=3, s=3)
     # Degree ranking: 1, 2, 3 (degree 2, ascending id), so root 2 is second.
-    entry = ss.subgraphs[1]
-    assert entry.central_node == 2
-    assert entry.node_ids == (2, 1, 3)
+    np.testing.assert_array_equal(ss.nodes[1], [2, 1, 3])
 
 
 def test_degree_ties_break_by_id():
     triangle = graph_from_edges(3, [(0, 1), (1, 2), (0, 2)])
     ss = sample_subgraphs(triangle, n=3, s=2)
-    assert [e.central_node for e in ss.subgraphs] == [0, 1, 2]
+    assert ss.nodes[:, 0].tolist() == [0, 1, 2]
 
 
 def test_wraparound_when_graph_is_small():
     triangle = graph_from_edges(3, [(0, 1), (1, 2), (0, 2)])
     ss = sample_subgraphs(triangle, n=5, s=3)
-    assert [e.central_node for e in ss.subgraphs] == [0, 1, 2, 0, 1]
-    assert ss.subgraphs[0].node_ids == ss.subgraphs[3].node_ids
+    assert ss.nodes[:, 0].tolist() == [0, 1, 2, 0, 1]
+    np.testing.assert_array_equal(ss.nodes[0], ss.nodes[3])
 
 
 def test_small_component_is_padded():
     g = graph_from_edges(3, [(0, 1)])  # node 2 isolated
     ss = sample_subgraphs(g, n=3, s=4)
-    pair, _, lone = ss.subgraphs
-    assert pair.node_ids == (0, 1)
-    np.testing.assert_array_equal(pair.mask, [True, True, False, False])
-    assert pair.local_adjacency[2:, :].sum() == 0
-    assert pair.local_adjacency[:, 2:].sum() == 0
-    np.testing.assert_array_equal(pair.local_adjacency, pair.local_adjacency.T)
-    assert lone.central_node == 2
-    assert lone.node_ids == (2,)
-    assert lone.local_adjacency.sum() == 0
+    np.testing.assert_array_equal(ss.nodes[0], [0, 1, 0, 0])  # pads hold 0
+    np.testing.assert_array_equal(ss.mask[0], [True, True, False, False])
+    pair = ss.adjacency[0]
+    assert pair[2:, :].sum() == 0
+    assert pair[:, 2:].sum() == 0
+    np.testing.assert_array_equal(pair, pair.T)
+    np.testing.assert_array_equal(ss.nodes[2], [2, 0, 0, 0])
+    np.testing.assert_array_equal(ss.mask[2], [True, False, False, False])
+    assert ss.adjacency[2].sum() == 0
 
 
 def test_empty_graph_rejected():
@@ -100,7 +98,7 @@ def test_matches_independent_bfs_oracle(seed):
     ss = sample_subgraphs(g, n=6, s=5)
     degree = g.degrees()
     ranking = sorted(range(20), key=lambda v: (-degree[v], v))
-    for i, entry in enumerate(ss.subgraphs):
+    for i, entry in enumerate(entries_of(ss)):
         assert entry.central_node == ranking[i]
         assert entry.node_ids == tuple(bfs_oracle(g.edges, ranking[i], 5))
 
@@ -108,7 +106,7 @@ def test_matches_independent_bfs_oracle(seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_subgraphs_are_connected(seed):
     g = random_graph(np.random.default_rng(100 + seed), num_nodes=15, edge_prob=0.2)
-    for entry in sample_subgraphs(g, n=5, s=6).subgraphs:
+    for entry in entries_of(sample_subgraphs(g, n=5, s=6)):
         inside = set(entry.node_ids)
         reached = {entry.central_node}
         frontier = [entry.central_node]
@@ -125,10 +123,8 @@ def test_sampling_deterministic():
     g = random_graph(np.random.default_rng(5), num_nodes=12, edge_prob=0.3)
     a = sample_subgraphs(g, n=4, s=5)
     b = sample_subgraphs(g, n=4, s=5)
-    for x, y in zip(a.subgraphs, b.subgraphs):
-        assert x.node_ids == y.node_ids
-        np.testing.assert_array_equal(x.local_adjacency, y.local_adjacency)
-        np.testing.assert_array_equal(x.mask, y.mask)
+    for field in ("nodes", "mask", "adjacency", "overlap"):
+        np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -137,8 +133,8 @@ def test_coverage_never_shrinks_with_s(seed):
     for s in range(1, 6):
         small = sample_subgraphs(g, n=4, s=s)
         large = sample_subgraphs(g, n=4, s=s + 1)
-        covered_small = {v for e in small.subgraphs for v in e.node_ids}
-        covered_large = {v for e in large.subgraphs for v in e.node_ids}
+        covered_small = set(small.nodes[small.mask].tolist())
+        covered_large = set(large.nodes[large.mask].tolist())
         assert covered_small <= covered_large
 
 
@@ -160,8 +156,9 @@ def test_sketch_single_shared_node_connects():
 def test_sketch_threshold_is_strict():
     path = graph_from_edges(5, [(i, i + 1) for i in range(4)])
     ss = sample_subgraphs(path, n=3, s=3)
+    entries = entries_of(ss)
     shared = {
-        (i, j): len(set(ss.subgraphs[i].node_ids) & set(ss.subgraphs[j].node_ids))
+        (i, j): len(set(entries[i].node_ids) & set(entries[j].node_ids))
         for i in range(3)
         for j in range(i + 1, 3)
     }
@@ -176,14 +173,15 @@ def test_sketch_matches_intersection_oracle(seed):
     ss = sample_subgraphs(g, n=5, s=5)
     idx = [0, 1, 2, 3, 4]
     sk = build_sketched_graph(ss, idx, b_com=1)
+    entries = entries_of(ss)
     want = set()
     for i in range(5):
         for j in range(i + 1, 5):
-            common = set(ss.subgraphs[i].node_ids) & set(ss.subgraphs[j].node_ids)
+            common = set(entries[i].node_ids) & set(entries[j].node_ids)
             if len(common) > 1:
                 want.add((i, j))
     assert set(sk.edges) == want
-    adj = sk.adjacency_matrix()
+    adj = sk.adjacency
     np.testing.assert_array_equal(adj, adj.T)
     assert np.all(np.diag(adj) == 0)
 
@@ -192,27 +190,24 @@ def test_sketch_matches_intersection_oracle(seed):
 def test_overlap_counts_match_set_intersections(seed):
     g = random_graph(np.random.default_rng(320 + seed), num_nodes=14, edge_prob=0.25)
     ss = sample_subgraphs(g, n=6, s=4)
-    want = np.array(
-        [
-            [len(set(a.node_ids) & set(b.node_ids)) for b in ss.subgraphs]
-            for a in ss.subgraphs
-        ]
-    )
-    np.testing.assert_array_equal(ss.overlap, want)
+    np.testing.assert_array_equal(ss.overlap, entry_overlap(entries_of(ss)))
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_sketch_from_entries_matches_sketch_from_set(seed):
-    g = random_graph(np.random.default_rng(330 + seed), num_nodes=12, edge_prob=0.3)
-    ss = sample_subgraphs(g, n=6, s=4)
-    idx = [5, 0, 3, 2]
-    for b_com in (0, 1, 2):
-        from_set = build_sketched_graph(ss, idx, b_com)
-        from_list = build_sketched_graph(list(ss.subgraphs), idx, b_com)
-        assert from_set == from_list
-        np.testing.assert_array_equal(
-            from_set.adjacency_matrix(), from_list.adjacency_matrix()
-        )
+@pytest.mark.parametrize("seed", range(8))
+def test_arrays_match_per_subgraph_sampler(seed):
+    # Sizes below n wrap the root ranking; sparse graphs leave components
+    # smaller than s, so rows carry pads.
+    rng = np.random.default_rng(340 + seed)
+    g = random_graph(rng, num_nodes=int(rng.integers(1, 14)), edge_prob=0.2)
+    ss = sample_subgraphs(g, n=6, s=5)
+    want = sample_entries(g, n=6, s=5)
+    assert len(entries_of(ss)) == len(want)
+    for got, ref in zip(entries_of(ss), want):
+        assert got.central_node == ref.central_node
+        assert got.node_ids == ref.node_ids
+        assert got.local_adjacency.tobytes() == ref.local_adjacency.tobytes()
+        assert got.mask.tobytes() == ref.mask.tobytes()
+    assert not ss.nodes[~ss.mask].any()
 
 
 def test_sketch_edges_in_row_major_order():
@@ -221,7 +216,7 @@ def test_sketch_edges_in_row_major_order():
     sk = build_sketched_graph(ss, idx=[3, 2, 1, 0], b_com=0)
     assert all(i < j for i, j in sk.edges)
     assert list(sk.edges) == sorted(sk.edges)
-    adj = sk.adjacency_matrix()
+    adj = sk.adjacency
     assert {(i, j) for i, j in zip(*np.nonzero(adj)) if i < j} == set(sk.edges)
 
 

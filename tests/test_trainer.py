@@ -4,7 +4,7 @@ import pytest
 from subsketch.dataset import Graph, make_folds
 from subsketch.diffcore import Tape
 from subsketch.encoder import subgraph_features
-from subsketch.errors import ConfigError
+from subsketch.errors import ConfigError, TrainingDiverged
 from subsketch.sampler import build_sketched_graph
 from subsketch.trainer import (
     ModelParams,
@@ -25,13 +25,15 @@ from _reference import (
     classify_graph,
     encode_nodes,
     encoder_of,
+    entries_of,
     heads_of,
     inter_attention,
     intra_attention,
+    precompute_reference,
     readout,
     topk_select,
 )
-from _synth import planted_motif_dataset
+from _synth import planted_motif_dataset, random_graph
 from gradcheck import finite_diff_grads, max_rel_err
 
 TINY = dict(n=3, s=3, d1=4, d2=5, heads=2, batch_size=10, fold_count=5)
@@ -217,7 +219,7 @@ def test_batched_forward_matches_per_module_path(dataset):
     )
     graphs = dataset[:3] + [pair]
     tensors = [precompute_tensors(g, config.n, config.s) for g in graphs]
-    pads = ~np.concatenate([e.mask for e in tensors[-1].subgraph_set.subgraphs])
+    pads = ~tensors[-1].subgraph_set.mask.reshape(-1)
     assert pads.any() and np.all(tensors[-1].feats[pads] == 0)
     labels = [g.label for g in graphs]
     model = init_model(np.random.default_rng(5), 4, 2, config)
@@ -232,22 +234,21 @@ def test_batched_forward_matches_per_module_path(dataset):
         sb = bind_model(model, single)
         enc = encoder_of(sb)
         z_rows = []
-        for entry in tensor.subgraph_set.subgraphs:
+        for entry in entries_of(tensor.subgraph_set):
             h = encode_nodes(entry, tensor.graph.features, enc, single)
             z_rows.append(intra_attention(h, entry.mask, enc, single).value[0])
         z_values = np.vstack(z_rows)
         idx, gates = topk_select(z_values, model["pool.p"], k)
-        assert idx == result.state.selected_local[b]
+        assert idx == result.state.selected[b].tolist()
         sk = build_sketched_graph(tensor.subgraph_set, idx, config.b_com)
         gated = z_values[idx] * gates[:, None]
         zp = inter_attention(sk, single.constant(gated), heads_of(sb, config.heads), single)
         r = readout(zp, single)
         graph_dist, _ = classify_graph(zp, sb["classifier.w"], sb["classifier.b"], single)
 
-        rows = [i for i, row in enumerate(result.state.selected_rows)
-                if row // config.n == b]
+        kept = len(idx)
         np.testing.assert_allclose(
-            result.state.z_primes.value[rows], zp.value, atol=1e-10
+            result.state.z_primes.value[b * kept : (b + 1) * kept], zp.value, atol=1e-10
         )
         np.testing.assert_allclose(result.readouts.value[b], r.value[0], atol=1e-10)
         np.testing.assert_allclose(
@@ -282,9 +283,9 @@ def test_mi_corrupt_shuffles_each_graph_once(dataset, monkeypatch):
     tensors = [precompute_tensors(g, config.n, config.s) for g in graphs]
     calls = []
 
-    def recording(entry, graph_features):
-        out = subgraph_features(entry, graph_features)
-        calls.append((entry, out))
+    def recording(subgraph_set, categories):
+        out = subgraph_features(subgraph_set, categories)
+        calls.append((subgraph_set, out))
         return out
 
     monkeypatch.setattr(trainer, "subgraph_features", recording)
@@ -294,20 +295,61 @@ def test_mi_corrupt_shuffles_each_graph_once(dataset, monkeypatch):
         bind_model(model, tape), tensors, [g.label for g in graphs], 0.5, config,
         tape, corrupt_rng=np.random.default_rng(4),
     )
-    # Overlapping subgraphs of one graph see one shuffle: a shared node gets
-    # the same corrupted category in every subgraph that holds it.
-    owner = {id(e): b for b, t in enumerate(tensors) for e in t.subgraph_set.subgraphs}
+    # One call per graph, and overlapping subgraphs of one graph see one
+    # shuffle: a shared node gets the same corrupted category in every
+    # subgraph that holds it.
+    assert [id(ss) for ss, _ in calls] == [id(t.subgraph_set) for t in tensors]
     seen = {}
     shared = 0
-    for entry, out in calls:
-        for pos, node in enumerate(entry.node_ids):
-            key = (owner[id(entry)], node)
+    for b, (ss, out) in enumerate(calls):
+        for node, category in zip(ss.nodes[ss.mask], out.reshape(ss.mask.shape)[ss.mask]):
+            key = (b, node)
             if key in seen:
                 shared += 1
-                np.testing.assert_array_equal(out[pos], seen[key])
+                assert category == seen[key]
             else:
-                seen[key] = out[pos]
+                seen[key] = category
     assert shared > 0
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_precompute_matches_per_subgraph_reference(seed):
+    # Graphs of 1..13 nodes against n=8, s=5: small ones wrap the root
+    # ranking, and sparse ones have components smaller than s.
+    rng = np.random.default_rng(900 + seed)
+    graph = random_graph(rng, int(rng.integers(1, 14)), float(rng.uniform(0.05, 0.5)))
+    tensors = precompute_tensors(graph, 8, 5)
+    want = precompute_reference(graph, 8, 5)
+    got = {
+        "prop_blocks": tensors.prop_blocks,
+        "feats": tensors.feats,
+        "attn_off": tensors.attn_off,
+        "overlap": tensors.subgraph_set.overlap,
+    }
+    for name, array in want.items():
+        assert got[name].dtype == array.dtype, name
+        assert got[name].shape == array.shape, name
+        assert got[name].tobytes() == array.tobytes(), name
+
+
+def test_divergence_names_fold_epoch_and_batch(dataset):
+    config = tiny_config(lr=10.0, l2=0.0, epochs=3, seed=0)
+    plan = make_folds(dataset, config.seed, config.fold_count)
+    with pytest.raises(TrainingDiverged, match=r"fold 1, epoch \d+, batch \d+: "):
+        train_fold(dataset, plan, 1, config)
+
+
+def test_non_finite_gradient_stops_training(dataset, monkeypatch):
+    backward = Tape.backward
+
+    def poisoned(tape, loss):
+        return {node: np.full_like(g, np.nan) for node, g in backward(tape, loss).items()}
+
+    monkeypatch.setattr(Tape, "backward", poisoned)
+    config = tiny_config(epochs=1, seed=0)
+    plan = make_folds(dataset, config.seed, config.fold_count)
+    with pytest.raises(TrainingDiverged, match="fold 0, epoch 0, batch 0: .*not finite"):
+        train_fold(dataset, plan, 0, config)
 
 
 def test_single_graph_batch_rejected_for_alternative_negatives(dataset):
