@@ -8,7 +8,8 @@ A dataset ``NAME`` in directory ``root`` consists of::
     root/NAME_node_labels.txt      optional: categorical label for node i
 
 Edges are undirected; the files conventionally list both directions, which
-this parser collapses into deduplicated ``(u, v)`` pairs with ``u < v``.
+this parser collapses into deduplicated ``(u, v)`` pairs with ``u < v``,
+sorted: each graph's (E, 2) rows are a slice of one array.
 Self-loop lines are dropped (the encoder adds its own self connections).
 Nodes take local ids in file order within their graph, so the indicator
 need not group a graph's nodes together.  Class and node labels are
@@ -43,6 +44,10 @@ _INT64 = np.iinfo(np.int64)
 class Graph:
     """One labelled graph: 0-based local node ids, undirected edge pairs.
 
+    ``edges`` is a read-only (E, 2) intp array, one row per edge, made from
+    any sequence of pairs of ids in ``0..num_nodes - 1``; parsed rows have
+    ``u < v`` and come in ``(u, v)`` order.
+
     ``node_labels`` are the node categories the trainer encodes.
     :func:`parse_tu_dataset` leaves ``features`` as ``None``.  A hand-built
     graph may supply it, but then it must be the one-hot rows of
@@ -52,9 +57,25 @@ class Graph:
 
     index: int
     label: int
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
     node_labels: tuple[int, ...]
     features: np.ndarray | None = None  # optional (num_nodes, width) one-hot rows
+
+    def __post_init__(self):
+        edges = np.asarray(self.edges, dtype=np.intp).view()  # keeps a caller's array writable
+        if edges.size == 0:
+            edges = edges.reshape(0, 2)
+        if edges.ndim != 2 or edges.shape[1] != 2 or edges.size and not (
+            0 <= edges.min() and edges.max() < self.num_nodes
+        ):
+            raise ValueError(
+                f"graph {self.index}: edges must be (u, v) pairs of ids in 0..{self.num_nodes - 1}"
+            )
+        edges.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
+
+    def __reduce__(self):  # unpickle through __init__, so edges come back read-only
+        return Graph, (self.index, self.label, self.edges, self.node_labels, self.features)
 
     @property
     def num_nodes(self) -> int:
@@ -65,23 +86,6 @@ class Graph:
         """One more than the largest node label.  Cached: training reads it
         for every graph on every ``train_fold`` call."""
         return 1 + max(self.node_labels, default=-1)
-
-    def neighbors(self) -> list[list[int]]:
-        """Adjacency lists with each list sorted ascending."""
-        adj: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for lst in adj:
-            lst.sort()
-        return adj
-
-    def degrees(self) -> list[int]:
-        deg = [0] * self.num_nodes
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
 
 
 @dataclass(frozen=True)
@@ -272,66 +276,52 @@ def parse_tu_dataset(dir_path: str, name: str) -> list[Graph]:
     else:
         # Degree fallback: one category per distinct degree value.
         node_values = np.bincount(lo, minlength=num_nodes) + np.bincount(hi, minlength=num_nodes)
-    cats = _categories(node_values).tolist()
+    cats = _categories(node_values)
 
+    # Keys rise by graph, so each graph's edges are one run of sorted rows.
     edge_graph = graph_of_node[order][lo]
-    edge_ends = np.cumsum(np.bincount(edge_graph, minlength=num_graphs)).tolist()
-    lo = (lo - starts[edge_graph]).tolist()
-    hi = (hi - starts[edge_graph]).tolist()
-    node_ends = node_ends.tolist()
+    edges = np.stack([lo, hi], axis=1) - starts[edge_graph, None]
+    edge_ends = np.cumsum(np.bincount(edge_graph, minlength=num_graphs))
+    pieces = zip(np.split(edges, edge_ends[:-1]), np.split(cats, node_ends[:-1]))
+    return [
+        Graph(index=g, label=labels[g], edges=e, node_labels=tuple(c.tolist()))
+        for g, (e, c) in enumerate(pieces)
+    ]
 
-    graphs = []
-    e0 = n0 = 0
-    for g in range(num_graphs):
-        e1, n1 = edge_ends[g], node_ends[g]
-        graphs.append(
-            Graph(
-                index=g,
-                label=labels[g],
-                edges=tuple(zip(lo[e0:e1], hi[e0:e1])),
-                node_labels=tuple(cats[n0:n1]),
-            )
-        )
-        e0, n0 = e1, n1
-    return graphs
+
+def _write_rows(path: str, row_format: str, rows: np.ndarray) -> None:
+    """Write each row of the int array ``rows`` through ``row_format``, one
+    formatted write per 65,536 rows to bound the Python ints alive."""
+    with open(path, "w", encoding="ascii") as fh:
+        for start in range(0, len(rows), 1 << 16):
+            block = rows[start : start + (1 << 16)]
+            fh.write(row_format * len(block) % tuple(block.ravel().tolist()))
 
 
 def write_tu_dataset(graphs: list[Graph], dir_path: str, name: str) -> None:
     """Serialize graphs back to TU files (inverse of :func:`parse_tu_dataset`).
 
     Labels are written as the parsed 0-based categories, so parsing the
-    result reproduces the input graphs exactly.
+    result reproduces the input graphs exactly.  The edge file lists both
+    directions of every edge, sorted.
     """
     os.makedirs(dir_path, exist_ok=True)
-    offsets = []
-    total = 0
-    for graph in graphs:
-        offsets.append(total)
-        total += graph.num_nodes
-
-    with open(os.path.join(dir_path, f"{name}_A.txt"), "w", encoding="ascii") as fh:
-        for graph, offset in zip(graphs, offsets):
-            directed = sorted(
-                [(u, v) for u, v in graph.edges] + [(v, u) for u, v in graph.edges]
-            )
-            for u, v in directed:
-                fh.write(f"{offset + u + 1}, {offset + v + 1}\n")
-    with open(
-        os.path.join(dir_path, f"{name}_graph_indicator.txt"), "w", encoding="ascii"
-    ) as fh:
-        for g, graph in enumerate(graphs, start=1):
-            fh.write(f"{g}\n" * graph.num_nodes)
-    with open(
-        os.path.join(dir_path, f"{name}_graph_labels.txt"), "w", encoding="ascii"
-    ) as fh:
-        for graph in graphs:
-            fh.write(f"{graph.label}\n")
-    with open(
-        os.path.join(dir_path, f"{name}_node_labels.txt"), "w", encoding="ascii"
-    ) as fh:
-        for graph in graphs:
-            for cat in graph.node_labels:
-                fh.write(f"{cat}\n")
+    sizes = np.array([g.num_nodes for g in graphs], dtype=np.intp)
+    first_ids = (np.cumsum(sizes) - sizes + 1).tolist()  # 1-based
+    shifted = [g.edges + first for g, first in zip(graphs, first_ids)]
+    edges = np.vstack([np.empty((0, 2), np.intp)] + shifted)
+    # Graphs hold consecutive id ranges, so one sort of all (u, v) rows
+    # sorts each graph's rows in graph order.
+    directed = np.concatenate([edges, edges[:, ::-1]])
+    directed = directed[np.lexsort((directed[:, 1], directed[:, 0]))]
+    path = os.path.join(dir_path, name)
+    _write_rows(f"{path}_A.txt", "%d, %d\n", directed)
+    _write_rows(
+        f"{path}_graph_indicator.txt", "%d\n", np.repeat(np.arange(1, len(graphs) + 1), sizes)
+    )
+    _write_rows(f"{path}_graph_labels.txt", "%d\n", np.array([g.label for g in graphs]))
+    categories = np.array([c for g in graphs for c in g.node_labels])
+    _write_rows(f"{path}_node_labels.txt", "%d\n", categories)
 
 
 def dataset_stats(graphs: list[Graph]) -> DatasetStats:

@@ -132,7 +132,7 @@ def write_dot(path: str, graph: Graph, detail: dict) -> None:
     for node in range(graph.num_nodes):
         if node not in owner:
             lines.append("  " + node_line(node))
-    for u, v in graph.edges:
+    for u, v in graph.edges.tolist():
         lines.append(f"  n{u} -- n{v};")
     lines.append("}")
     with open(path, "w", encoding="utf-8") as fh:

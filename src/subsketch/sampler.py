@@ -4,7 +4,10 @@ Each graph contributes exactly ``n`` subgraphs of at most ``s`` nodes.  The
 ``n`` highest-degree nodes act as BFS roots (degree ties broken by ascending
 node id; graphs with fewer than ``n`` nodes wrap around the ranking so
 shapes stay fixed).  BFS visits neighbors in ascending id order and stops
-after ``s`` nodes; smaller components are padded out and masked.
+after ``s`` nodes; smaller components are padded out and masked.  One sort
+of the graph's directed edge keys ``u * num_nodes + v`` gives all of it:
+the CSR adjacency the BFS walks, the degrees that rank the roots, and the
+table that induced adjacency is looked up in.
 
 A graph's subgraphs are one :class:`SubgraphSet` of fixed-shape arrays:
 ``nodes`` (n, s) holds the node ids in BFS order (column 0 is the root, pads
@@ -20,8 +23,8 @@ building a sketch on each training step only indexes them.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -40,20 +43,21 @@ class SubgraphSet:
         return self.nodes.shape[0]
 
 
-def _bfs_truncated(adj: list[list[int]], root: int, limit: int) -> list[int]:
-    """Breadth-first order from root, ascending-id frontier, at most limit nodes."""
-    seen = {root}
+def _bfs_truncated(indptr: list[int], dst: list[int], root: int, limit: int) -> list[int]:
+    """Breadth-first order from root, at most ``limit`` nodes, over CSR rows
+    ``dst[indptr[u]:indptr[u + 1]]`` (ascending); ``order`` is the queue."""
     order = [root]
-    queue = deque([root])
-    while queue and len(order) < limit:
-        u = queue.popleft()
-        for w in adj[u]:  # adjacency lists are sorted ascending
+    seen = {root}
+    head = 0
+    while head < len(order) < limit:
+        u = order[head]
+        head += 1
+        for w in dst[indptr[u] : indptr[u + 1]]:
             if w not in seen:
                 seen.add(w)
                 order.append(w)
-                queue.append(w)
                 if len(order) == limit:
-                    break
+                    return order
     return order
 
 
@@ -64,23 +68,24 @@ def sample_subgraphs(graph: Graph, n: int, s: int) -> SubgraphSet:
     size = graph.num_nodes
     if size == 0:
         raise ValueError(f"cannot sample subgraphs from empty graph {graph.index}")
-    adj = graph.neighbors()
-    degree = graph.degrees()
-    ranking = sorted(range(size), key=lambda v: (-degree[v], v))
-
-    nodes = np.zeros((n, s), dtype=np.intp)
-    mask = np.zeros((n, s), dtype=bool)
-    for i in range(n):
-        order = _bfs_truncated(adj, ranking[i % size], s)
-        nodes[i, : len(order)] = order
-        mask[i, : len(order)] = True
-
-    # Induced adjacency: look every (u, v) pair of a subgraph up among the
-    # graph's directed edge keys u * size + v, closed by a sentinel key
-    # larger than any pair so that every lookup position is valid.
-    edges = np.asarray(graph.edges, dtype=np.intp).reshape(-1, 2)
-    u, v = edges[:, 0], edges[:, 1]
+    # The graph's directed edge keys u * size + v, sorted, are its CSR form:
+    # sources rise, and each source's neighbours rise within its run.  A
+    # sentinel key larger than any pair closes them, so that every lookup
+    # position below is valid.
+    u, v = graph.edges.T
     keys = np.sort(np.concatenate([u * size + v, v * size + u, [size * size]]))
+    src, dst = np.divmod(keys[:-1], size)
+    indptr = np.searchsorted(src, np.arange(size + 1))
+    ranking = np.argsort(-np.diff(indptr), kind="stable")  # degree, then id
+    roots = ranking[np.arange(n) % size].tolist()
+
+    starts, targets = indptr.tolist(), dst.tolist()
+    orders = [_bfs_truncated(starts, targets, root, s) for root in roots]
+    mask = np.arange(s) < np.array([len(order) for order in orders])[:, None]
+    nodes = np.zeros((n, s), dtype=np.intp)
+    nodes[mask] = list(chain.from_iterable(orders))
+
+    # Induced adjacency: look every (u, v) pair of a subgraph up in the keys.
     pairs = nodes[:, :, None] * size + nodes[:, None, :]
     linked = keys[np.searchsorted(keys, pairs)] == pairs
     linked &= mask[:, :, None] & mask[:, None, :]

@@ -8,12 +8,14 @@ and precompute with per-subgraph loops (:func:`precompute_reference`),
 then encoding from dense feature rows with plain per-subgraph ops, so that
 tests can check the batched path against an independent formulation.
 Likewise :func:`parse_tu_lines` parses TU files one line at a time, the
-oracle for the bulk numpy parser.  They are the oracle, not the product:
+oracle for the bulk numpy parser, and :func:`write_tu_lines` writes them one
+line at a time, the oracle for the bulk writer.  They are the oracle, not the product:
 nothing under ``src/`` calls them.
 """
 
 import csv
 import os
+from collections import deque
 from typing import NamedTuple
 
 import numpy as np
@@ -22,7 +24,7 @@ from subsketch.dataset import Graph, _read_column, _read_rows, _require
 from subsketch.errors import DatasetFormatError
 from subsketch.diffcore import MASK_OFF, Node, Tape
 from subsketch.pooling import rank_topk
-from subsketch.sampler import SketchedGraph, SubgraphSet, _bfs_truncated, overlap_counts
+from subsketch.sampler import SketchedGraph, SubgraphSet, overlap_counts
 from subsketch.sketch_mi import attention_mask, inter_attention_with_mask
 
 
@@ -60,16 +62,55 @@ class SubgraphEntry(NamedTuple):
     mask: np.ndarray  # (s,) bool, True marks real rows
 
 
+def neighbors(graph: Graph) -> list[list[int]]:
+    """Adjacency lists with each list sorted ascending (a duplicate edge
+    lists its neighbour twice, a self-loop lists the node twice)."""
+    adj: list[list[int]] = [[] for _ in range(graph.num_nodes)]
+    for u, v in graph.edges.tolist():
+        adj[u].append(v)
+        adj[v].append(u)
+    for lst in adj:
+        lst.sort()
+    return adj
+
+
+def degrees(graph: Graph) -> list[int]:
+    """Edge ends per node: a self-loop counts twice, as do duplicates."""
+    deg = [0] * graph.num_nodes
+    for u, v in graph.edges.tolist():
+        deg[u] += 1
+        deg[v] += 1
+    return deg
+
+
+def bfs_order(adj: list[list[int]], root: int, limit: int) -> list[int]:
+    """Breadth-first order from root over sorted adjacency lists, at most
+    ``limit`` nodes."""
+    seen = {root}
+    order = [root]
+    queue = deque([root])
+    while queue and len(order) < limit:
+        u = queue.popleft()
+        for w in adj[u]:
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+                queue.append(w)
+                if len(order) == limit:
+                    break
+    return order
+
+
 def sample_entries(graph: Graph, n: int, s: int) -> list[SubgraphEntry]:
-    """``sample_subgraphs`` one subgraph at a time (same BFS), with a dict
-    lookup per neighbour for the induced adjacency."""
-    adj = graph.neighbors()
-    degree = graph.degrees()
+    """``sample_subgraphs`` one subgraph at a time, from adjacency lists and
+    a deque BFS, with a dict lookup per neighbour for the induced adjacency."""
+    adj = neighbors(graph)
+    degree = degrees(graph)
     ranking = sorted(range(graph.num_nodes), key=lambda v: (-degree[v], v))
     entries = []
     for i in range(n):
         root = ranking[i % graph.num_nodes]
-        nodes = _bfs_truncated(adj, root, s)
+        nodes = bfs_order(adj, root, s)
         position = {u: a for a, u in enumerate(nodes)}
         local = np.zeros((s, s), dtype=np.float64)
         for a, u in enumerate(nodes):
@@ -349,6 +390,40 @@ def parse_tu_lines(dir_path: str, name: str) -> list[Graph]:
         )
         for g in range(num_graphs)
     ]
+
+
+def write_tu_lines(graphs: list[Graph], dir_path: str, name: str) -> None:
+    """Write the TU files for ``graphs`` one line at a time: the oracle for
+    the bulk ``write_tu_dataset``."""
+    os.makedirs(dir_path, exist_ok=True)
+    offsets = []
+    total = 0
+    for graph in graphs:
+        offsets.append(total)
+        total += graph.num_nodes
+
+    with open(os.path.join(dir_path, f"{name}_A.txt"), "w", encoding="ascii") as fh:
+        for graph, offset in zip(graphs, offsets):
+            edges = [tuple(e) for e in graph.edges.tolist()]
+            directed = sorted(edges + [(v, u) for u, v in edges])
+            for u, v in directed:
+                fh.write(f"{offset + u + 1}, {offset + v + 1}\n")
+    with open(
+        os.path.join(dir_path, f"{name}_graph_indicator.txt"), "w", encoding="ascii"
+    ) as fh:
+        for g, graph in enumerate(graphs, start=1):
+            fh.write(f"{g}\n" * graph.num_nodes)
+    with open(
+        os.path.join(dir_path, f"{name}_graph_labels.txt"), "w", encoding="ascii"
+    ) as fh:
+        for graph in graphs:
+            fh.write(f"{graph.label}\n")
+    with open(
+        os.path.join(dir_path, f"{name}_node_labels.txt"), "w", encoding="ascii"
+    ) as fh:
+        for graph in graphs:
+            for cat in graph.node_labels:
+                fh.write(f"{cat}\n")
 
 
 # ----------------------------------------------------------------- files

@@ -1,4 +1,5 @@
 import os
+import pickle
 import tempfile
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subsketch.dataset as dataset
-from _reference import parse_tu_lines
+from _reference import degrees, neighbors, parse_tu_lines, write_tu_lines
 from subsketch.dataset import (
     Graph,
     batches,
@@ -48,16 +49,66 @@ def test_parse_fixture(tmp_path):
 
     tri, path = graphs
     assert (tri.index, tri.label) == (0, 0)  # raw -1 -> class 0
-    assert tri.edges == ((0, 1), (0, 2), (1, 2))
+    assert tri.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
     assert tri.node_labels == (0, 0, 1)  # raw 7,7,8 under {7:0, 8:1, 9:2}
     assert tri.features is None  # categories only, no dense rows
 
     assert (path.index, path.label) == (1, 1)
-    assert path.edges == ((0, 1), (1, 2), (2, 3))
+    assert path.edges.tolist() == [[0, 1], [1, 2], [2, 3]]
     assert path.node_labels == (1, 2, 2, 0)
     assert dataset_stats(graphs).feature_dim == 3
-    assert path.neighbors() == [[1], [0, 2], [1, 3], [2]]
-    assert path.degrees() == [1, 2, 2, 1]
+    assert neighbors(path) == [[1], [0, 2], [1, 3], [2]]
+    assert degrees(path) == [1, 2, 2, 1]
+
+
+def test_parsed_edges_are_read_only_intp_pairs(tmp_path):
+    write_fixture(tmp_path)
+    # A third graph of one node and no edges.
+    write_lines(tmp_path / "TOY_graph_indicator.txt", [1, 1, 1, 2, 2, 2, 2, 3])
+    write_lines(tmp_path / "TOY_graph_labels.txt", [-1, 1, 1])
+    write_lines(tmp_path / "TOY_node_labels.txt", [7, 7, 8, 8, 9, 9, 7, 7])
+    tri, path, lone = parse_tu_dataset(str(tmp_path), "TOY")
+    for graph, want in ((tri, [[0, 1], [0, 2], [1, 2]]), (path, [[0, 1], [1, 2], [2, 3]])):
+        assert graph.edges.dtype == np.intp
+        assert graph.edges.shape == (3, 2)
+        assert not graph.edges.flags.writeable
+        assert graph.edges.tolist() == want
+    assert lone.edges.shape == (0, 2) and lone.edges.dtype == np.intp
+
+
+def test_tuple_and_array_edges_agree():
+    pairs = ((0, 1), (0, 2), (1, 2))
+    given_array = np.array(pairs)
+    from_tuple = Graph(index=0, label=0, edges=pairs, node_labels=(0, 0, 0))
+    from_array = Graph(index=0, label=0, edges=given_array, node_labels=(0, 0, 0))
+    for graph in (from_tuple, from_array):
+        assert graph.edges.dtype == np.intp and not graph.edges.flags.writeable
+    assert np.array_equal(from_tuple.edges, from_array.edges)
+    assert given_array.flags.writeable  # the caller's array is left as it was
+    empty = Graph(index=0, label=0, edges=(), node_labels=(0,))
+    assert empty.edges.shape == (0, 2)
+
+
+def test_pickled_graph_keeps_read_only_edges():
+    graph = Graph(index=2, label=1, edges=((0, 1), (1, 2)), node_labels=(0, 1, 0))
+    copy = pickle.loads(pickle.dumps(graph))
+    assert not copy.edges.flags.writeable
+    assert copy.edges.tolist() == [[0, 1], [1, 2]]
+    assert (copy.index, copy.label, copy.node_labels) == (2, 1, (0, 1, 0))
+
+
+@pytest.mark.parametrize(
+    "edges, node_labels, message",
+    [
+        (((0, -1), (1, 2)), (0, 1, 0), r"graph 3: edges must be \(u, v\) pairs of ids in 0\.\.2"),
+        (((0, 5),), (0, 1), r"graph 3: edges must be \(u, v\) pairs of ids in 0\.\.1"),
+        (((1, 2),), (0, 1), r"graph 3: edges must be \(u, v\) pairs of ids in 0\.\.1"),
+        (((0, 1, 2),), (0, 1, 0), r"graph 3: edges must be \(u, v\) pairs of ids in 0\.\.2"),
+    ],
+)
+def test_bad_edges_rejected_naming_the_graph(edges, node_labels, message):
+    with pytest.raises(ValueError, match=message):
+        Graph(index=3, label=0, edges=edges, node_labels=node_labels)
 
 
 def test_degree_fallback_without_node_labels(tmp_path):
@@ -124,12 +175,64 @@ def test_round_trip_fixture(tmp_path):
     assert_same_graphs(first, second)
 
 
+def tu_bytes(dir_path, name):
+    return {
+        suffix: (dir_path / f"{name}_{suffix}.txt").read_bytes()
+        for suffix in ("A", "graph_indicator", "graph_labels", "node_labels")
+    }
+
+
+def test_writer_matches_line_writer_on_fixture(tmp_path):
+    write_fixture(tmp_path)
+    graphs = parse_tu_dataset(str(tmp_path), "TOY")
+    write_tu_dataset(graphs, str(tmp_path / "bulk"), "TOY")
+    write_tu_lines(graphs, str(tmp_path / "lines"), "TOY")
+    assert tu_bytes(tmp_path / "bulk", "TOY") == tu_bytes(tmp_path / "lines", "TOY")
+
+
+@st.composite
+def hand_built_graphs(draw):
+    """Graphs as a caller may build them: edges in either direction, with
+    duplicates and self-loops, and isolated nodes."""
+    graphs = []
+    for index in range(draw(st.integers(1, 5))):
+        size = draw(st.integers(1, 8))
+        node = st.integers(0, size - 1)
+        graphs.append(
+            Graph(
+                index=index,
+                label=draw(st.integers(0, 3)),
+                edges=tuple(draw(st.lists(st.tuples(node, node), max_size=12))),
+                node_labels=tuple(draw(st.lists(st.integers(0, 120), min_size=size, max_size=size))),
+            )
+        )
+    return graphs
+
+
+@settings(max_examples=60, deadline=None)
+@given(hand_built_graphs())
+def test_writer_matches_line_writer(tmp_path_factory, graphs):
+    root = tmp_path_factory.mktemp("write")
+    write_tu_dataset(graphs, str(root / "bulk"), "H")
+    write_tu_lines(graphs, str(root / "lines"), "H")
+    assert tu_bytes(root / "bulk", "H") == tu_bytes(root / "lines", "H")
+
+
+def test_writer_matches_line_writer_past_one_block(tmp_path):
+    """Over 65,536 edge rows, so the writer formats more than one block."""
+    ring = tuple((i, (i + 1) % 40000) for i in range(40000))
+    graphs = [Graph(index=0, label=1, edges=ring, node_labels=(0,) * 40000)]
+    write_tu_dataset(graphs, str(tmp_path / "bulk"), "B")
+    write_tu_lines(graphs, str(tmp_path / "lines"), "B")
+    assert tu_bytes(tmp_path / "bulk", "B") == tu_bytes(tmp_path / "lines", "B")
+
+
 def assert_same_graphs(a, b):
     assert len(a) == len(b)
     for x, y in zip(a, b):
         assert x.index == y.index
         assert x.label == y.label
-        assert x.edges == y.edges
+        assert np.array_equal(x.edges, y.edges)
         assert x.node_labels == y.node_labels
 
 
@@ -174,8 +277,8 @@ def test_ungrouped_indicator_keeps_each_nodes_label(tmp_path):
     write_lines(tmp_path / "U_node_labels.txt", [10, 20, 30, 40])
     first, second = parse_tu_dataset(str(tmp_path), "U")
     # Graph 1 holds file nodes 1 and 3, graph 2 holds nodes 2 and 4.
-    assert first.node_labels == (0, 2) and first.edges == ((0, 1),)
-    assert second.node_labels == (1, 3) and second.edges == ((0, 1),)
+    assert first.node_labels == (0, 2) and first.edges.tolist() == [[0, 1]]
+    assert second.node_labels == (1, 3) and second.edges.tolist() == [[0, 1]]
 
 
 def test_clean_files_skip_the_line_reader(tmp_path, monkeypatch):
@@ -277,7 +380,7 @@ def _outcome(parse, files):
         except DatasetFormatError as exc:
             return str(exc)
     assert all(g.features is None for g in graphs)
-    return [(g.index, g.label, g.edges, g.node_labels) for g in graphs]
+    return [(g.index, g.label, g.edges.tolist(), g.node_labels) for g in graphs]
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subsketch.dataset import Graph
 from subsketch.sampler import build_sketched_graph, sample_subgraphs
 
-from _reference import entries_of, entry_overlap, sample_entries
+from _reference import degrees, entries_of, entry_overlap, sample_entries
 from _synth import random_graph
 
 
@@ -96,11 +98,11 @@ def test_empty_graph_rejected():
 def test_matches_independent_bfs_oracle(seed):
     g = random_graph(np.random.default_rng(seed), num_nodes=20, edge_prob=0.15)
     ss = sample_subgraphs(g, n=6, s=5)
-    degree = g.degrees()
+    degree = degrees(g)
     ranking = sorted(range(20), key=lambda v: (-degree[v], v))
     for i, entry in enumerate(entries_of(ss)):
         assert entry.central_node == ranking[i]
-        assert entry.node_ids == tuple(bfs_oracle(g.edges, ranking[i], 5))
+        assert entry.node_ids == tuple(bfs_oracle(g.edges.tolist(), ranking[i], 5))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -113,7 +115,7 @@ def test_subgraphs_are_connected(seed):
         while frontier:
             u = frontier.pop()
             for v in inside - reached:
-                if (min(u, v), max(u, v)) in set(g.edges):
+                if [min(u, v), max(u, v)] in g.edges.tolist():
                     reached.add(v)
                     frontier.append(v)
         assert reached == inside
@@ -207,6 +209,49 @@ def test_arrays_match_per_subgraph_sampler(seed):
         assert got.node_ids == ref.node_ids
         assert got.local_adjacency.tobytes() == ref.local_adjacency.tobytes()
         assert got.mask.tobytes() == ref.mask.tobytes()
+    assert not ss.nodes[~ss.mask].any()
+
+
+@st.composite
+def sampling_cases(draw, kind):
+    """A hand-built graph with ``n`` and ``s`` for one named kind of case:
+    isolated nodes, ``n`` past the node count (the ranking wraps), ``s = 1``,
+    ``s`` past a component's size, or duplicate edges and self-loops listed
+    in either direction."""
+    num_nodes = draw(st.integers(1, 12))
+    node = st.integers(0, num_nodes - 1)
+    if kind == "isolated":
+        linked = draw(st.integers(1, num_nodes))  # nodes from here on stay isolated
+        node = st.integers(0, linked - 1)
+    pair = st.tuples(node, node)
+    if kind != "messy":
+        pair = pair.filter(lambda e: e[0] < e[1])
+    edges = draw(st.lists(pair, max_size=3 * num_nodes))
+    if kind == "messy":
+        loop = draw(node)
+        edges += [(loop, loop)] + draw(st.lists(st.sampled_from(edges + [(loop, loop)]), max_size=4))
+    else:
+        edges = sorted(set(edges))
+    n = draw(st.integers(num_nodes + 1, num_nodes + 8) if kind == "wrap" else st.integers(1, 10))
+    s = 1 if kind == "s1" else draw(st.integers(num_nodes, num_nodes + 4) if kind == "big_s" else st.integers(1, 8))
+    graph = Graph(index=0, label=0, edges=tuple(edges), node_labels=(0,) * num_nodes)
+    return graph, n, s
+
+
+@pytest.mark.parametrize("kind", ["isolated", "wrap", "s1", "big_s", "messy"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sampler_matches_deque_bfs_oracle(kind, data):
+    graph, n, s = data.draw(sampling_cases(kind))
+    ss = sample_subgraphs(graph, n, s)
+    want = sample_entries(graph, n, s)
+    assert ss.nodes.shape == ss.mask.shape == (n, s)
+    for got, ref in zip(entries_of(ss), want):
+        assert got.central_node == ref.central_node
+        assert got.node_ids == ref.node_ids
+        assert got.local_adjacency.tobytes() == ref.local_adjacency.tobytes()
+        assert got.mask.tobytes() == ref.mask.tobytes()
+    assert ss.overlap.tobytes() == entry_overlap(want).tobytes()
     assert not ss.nodes[~ss.mask].any()
 
 
