@@ -6,9 +6,12 @@ topological order: an operand node always exists before its consumer.
 Calling ``Tape.backward`` on a scalar (1x1) node walks the tape in reverse
 and accumulates gradients into every parameter node.
 
-There is no broadcasting. Binary entrywise ops require equal shapes;
-scalar broadcasts are expressed with explicit ones-matrix matmuls by the
-callers. This keeps every backward rule a two-line closure.
+Broadcasting is narrow and explicit: ``add``, ``mul`` and ``div`` take a
+second operand of the first's shape, or a single (1, d) row repeated down
+its rows, or a single (r, 1) column repeated across its columns. That
+operand's gradient folds back with a ones-vector matmul, which sums in the
+same order as the ones-matrix matmul broadcast it stands for. Any other
+shape pair is an error. This keeps every backward rule a two-line closure.
 """
 
 from __future__ import annotations
@@ -87,11 +90,20 @@ class Tape:
     # --------------------------------------------------------------- structure
 
     @staticmethod
-    def _require_same_shape(op, a, b):
-        if a.value.shape != b.value.shape:
-            raise ValueError(
-                f"{op} shape mismatch: {a.value.shape} vs {b.value.shape}"
-            )
+    def _folder(op, a, b):
+        """Map from a gradient of ``a``'s shape to one of ``b``'s shape.
+
+        ``b`` must match ``a`` or be a (1, d) row or (r, 1) column that the
+        op repeats across ``a``; the fold sums the repeats.
+        """
+        (r, d), shape = a.value.shape, b.value.shape
+        if shape == (r, d):
+            return lambda g: g
+        if shape == (1, d):
+            return lambda g: np.ones((1, r)) @ g
+        if shape == (r, 1):
+            return lambda g: g @ np.ones((d, 1))
+        raise ValueError(f"{op} shape mismatch: {a.value.shape} vs {shape}")
 
     def matmul(self, a: Node, b: Node) -> Node:
         if a.value.shape[1] != b.value.shape[0]:
@@ -141,6 +153,30 @@ class Tape:
         """Sum of all entries as a 1x1 matrix."""
         out = self._record(np.array([[x.value.sum()]]), (x,))
         out.backward_rule = lambda g: (np.full_like(x.value, g[0, 0]),)
+        return out
+
+    def l2_penalty(self, params: list[Node], c: float) -> Node:
+        """``c`` times the sum of squares of every entry of ``params`` (1x1).
+
+        Each array's squares are summed by numpy, then the per-array sums
+        in list order; the gradient to each parameter is ``2·c·g·θ``.
+        """
+        c = float(c)
+        total = sum((p.value * p.value).sum() for p in params)
+        out = self._record(np.array([[total * c]]), params)
+        out.backward_rule = lambda g: tuple(
+            2.0 * ((g[0, 0] * c) * p.value) for p in params
+        )
+        return out
+
+    def rowdot(self, a: Node, b: Node) -> Node:
+        """Dot product of each row of ``a`` with the same row of ``b`` (r x 1)."""
+        if a.value.shape != b.value.shape:
+            raise ValueError(
+                f"rowdot shape mismatch: {a.value.shape} vs {b.value.shape}"
+            )
+        out = self._record(np.einsum("ij,ij->i", a.value, b.value)[:, None], (a, b))
+        out.backward_rule = lambda g: (g * b.value, g * a.value)
         return out
 
     def block_diag_matmul(self, blocks: np.ndarray | Node, h: Node) -> Node:
@@ -204,23 +240,23 @@ class Tape:
     # ---------------------------------------------------------------- entrywise
 
     def add(self, a: Node, b: Node) -> Node:
-        self._require_same_shape("add", a, b)
+        fold = self._folder("add", a, b)
         out = self._record(a.value + b.value, (a, b))
-        out.backward_rule = lambda g: (g, g)
+        out.backward_rule = lambda g: (g, fold(g))
         return out
 
     def mul(self, a: Node, b: Node) -> Node:
-        self._require_same_shape("mul", a, b)
+        fold = self._folder("mul", a, b)
         out = self._record(a.value * b.value, (a, b))
-        out.backward_rule = lambda g: (g * b.value, g * a.value)
+        out.backward_rule = lambda g: (g * b.value, fold(g * a.value))
         return out
 
     def div(self, a: Node, b: Node) -> Node:
-        self._require_same_shape("div", a, b)
+        fold = self._folder("div", a, b)
         if np.any(b.value == 0.0):
             raise ValueError("div: zero entry in denominator")
         out = self._record(a.value / b.value, (a, b))
-        out.backward_rule = lambda g: (g / b.value, -g * a.value / (b.value**2))
+        out.backward_rule = lambda g: (g / b.value, fold(-g * a.value / (b.value**2)))
         return out
 
     def neg(self, x: Node) -> Node:

@@ -4,14 +4,16 @@ Selected subgraph embeddings become supernodes; each attends over its
 sketched-graph neighborhood (always including itself) with multi-head
 attention, heads averaged.  The trainer summarizes each graph by the mean of
 its supernodes and scores (supernode, summary) pairs with a bilinear
-discriminator.  The MI loss is the negated Jensen-Shannon lower bound:
+discriminator z W r, applied per graph: r W^T once per graph summary, then
+a row dot with each paired supernode.  The MI loss is the negated
+Jensen-Shannon lower bound:
 binary cross-entropy that pushes real pairs toward 1 and mismatched pairs
 toward 0, written with softplus on the raw bilinear scores so extreme scores
 cannot overflow the log.
 
-Negative pairs come either from another graph in the batch
-(``alternative_graph``) or from re-encoding the same graph with its node
-categories shuffled by :func:`corrupt` (``corrupt_features``).
+Negative pairs come either from another graph in the batch, the previous
+one (``alternative_graph``), or from re-encoding the same graph with its
+node categories shuffled by :func:`corrupt` (``corrupt_features``).
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ def inter_attention_with_mask(
         )
     graphs = rows // m
     mask = tape.constant(additive_mask, name="sketch_mask")
-    ones_row = tape.constant(np.ones((1, m)), name="ones_row")
     graph_of_row = np.repeat(np.arange(graphs), m)
     head_outputs = []
     coefficients = []
@@ -61,13 +62,10 @@ def inter_attention_with_mask(
         d2 = w.shape[0]
         src = tape.matmul(projected, _slice_rows(a, 0, d2, tape))
         dst = tape.matmul(projected, _slice_rows(a, d2, 2 * d2, tape))
-        # e_ij = leaky_relu(src_i + dst_j), built by broadcasting both halves;
-        # each graph's dst row is repeated for that graph's M rows.
+        # e_ij = leaky_relu(src_i + dst_j): each graph's dst row is repeated
+        # for that graph's M rows, and the src column across the M columns.
         logits = tape.leaky_relu(
-            tape.add(
-                tape.matmul(src, ones_row),
-                tape.take_rows(tape.reshape(dst, graphs, m), graph_of_row),
-            )
+            tape.add(tape.take_rows(tape.reshape(dst, graphs, m), graph_of_row), src)
         )
         alpha = tape.softmax_rows(tape.add(logits, mask))
         coefficients.append(alpha)

@@ -15,7 +15,7 @@ cross-graph pairs.  Top-k ranking and sketched-graph construction run per
 graph on plain numpy values between tape ops.
 
 Variants:
-    full        adaptive k, negatives from the next graph in the batch
+    full        adaptive k, negatives from the previous graph in the batch
     fixed_k     agent frozen at k0, same objective as full
     no_mi       classification + L2 only
     mi_corrupt  negatives from re-encoding feature-shuffled copies
@@ -211,11 +211,9 @@ def total_loss(
     if mi_value is not None and beta != 0.0:
         loss = tape.add(loss, tape.scale(mi_value, beta))
     if l2 != 0.0:
-        reg = None
-        for theta in param_nodes:
-            term = tape.sum(tape.mul(theta, theta))
-            reg = term if reg is None else tape.add(reg, term)
-        loss = tape.add(loss, tape.scale(reg, l2))
+        # Recorded last, so backward hands every parameter its L2 gradient
+        # before any other.
+        loss = tape.add(loss, tape.l2_penalty(param_nodes, l2))
     return loss
 
 
@@ -259,7 +257,7 @@ def _run_pipeline(
     rng: np.random.Generator | None,
     feats_override: list[np.ndarray] | None = None,
 ) -> PipelineState:
-    n, s, d1 = config.n, config.s, config.d1
+    n, s = config.n, config.s
     batch = len(tensors)
     m = batch * n
     prop = np.concatenate([t.prop_blocks for t in tensors])
@@ -292,7 +290,7 @@ def _run_pipeline(
     p = bound["pool.p"]
     norm = tape.sqrt(tape.sum(tape.mul(p, p)))
     raw = tape.matmul(embeddings, p)
-    values = tape.div(raw, tape.matmul(tape.constant(np.ones((m, 1))), norm))
+    values = tape.div(raw, norm)
 
     # Per-graph top-k on the numeric scores; every graph keeps the same M.
     flat = values.value[:, 0]
@@ -306,7 +304,7 @@ def _run_pipeline(
 
     chosen = tape.take_rows(embeddings, rows)
     gates = tape.sigmoid(tape.take_rows(values, rows))
-    gated = tape.mul(chosen, tape.matmul(gates, tape.constant(np.ones((1, d1)))))
+    gated = tape.mul(chosen, gates)
 
     # Sketch attention per graph: each graph keeps the same count M, so the
     # stacked (m', M) mask holds one M x M block per graph.
@@ -351,17 +349,12 @@ def batch_forward(
 ) -> ForwardResult:
     state = _run_pipeline(bound, tensors, k, config, tape, rng)
     batch, kept = state.selected.shape
-    # (B*M, B) one-hot rows mapping each supernode to its graph column; the
-    # corrupted pass keeps the same count M, so both MI strategies share it.
-    expansion = np.repeat(np.eye(batch), kept, axis=0)
     # (B, B*M) rows that average each graph's supernode block.
-    averager = tape.constant(expansion.T / kept)
+    averager = tape.constant(np.repeat(np.eye(batch), kept, axis=1) / kept)
     readouts = tape.matmul(averager, state.z_primes)  # (B, d2)
 
-    m_sel = state.z_primes.shape[0]
     logits = tape.add(
-        tape.matmul(state.z_primes, bound["classifier.w"]),
-        tape.matmul(tape.constant(np.ones((m_sel, 1))), bound["classifier.b"]),
+        tape.matmul(state.z_primes, bound["classifier.w"]), bound["classifier.b"]
     )
     sub_dists = tape.softmax_rows(logits)
     graph_dists = tape.matmul(averager, sub_dists)
@@ -375,22 +368,23 @@ def batch_forward(
     mi = None
     strategy = config.mi_strategy
     if strategy != "none":
-        scored = tape.matmul(state.z_primes, bound["sketch.w_mi"])
-        d2_ones = tape.constant(np.ones((config.d2, 1)))
-        pos = tape.matmul(
-            tape.mul(scored, tape.matmul(tape.constant(expansion), readouts)),
-            d2_ones,
-        )
+        # The bilinear score z W r of a (supernode z, readout r) pair is
+        # z . (r W^T): W meets the B readouts once, and each pair is a row
+        # dot with its graph's summary row.  The corrupted pass keeps the
+        # same count M, so both strategies share the row -> graph map.
+        summary = tape.matmul(readouts, tape.transpose(bound["sketch.w_mi"]))
+        graph_of_row = np.repeat(np.arange(batch), kept)
+        own = tape.take_rows(summary, graph_of_row)
+        pos = tape.rowdot(state.z_primes, own)
         if strategy == "alternative_graph":
             if len(tensors) < 2:
                 raise ConfigError(
                     "alternative_graph negatives need a batch of at least 2 graphs"
                 )
-            expand_neg = np.roll(expansion, -1, axis=1)  # next graph, cyclic
-            neg = tape.matmul(
-                tape.mul(scored, tape.matmul(tape.constant(expand_neg), readouts)),
-                d2_ones,
-            )
+            # Graph b's supernodes meet the previous graph's summary, and
+            # graph 0's meet the last graph's.
+            previous = tape.take_rows(summary, (graph_of_row - 1) % batch)
+            neg = tape.rowdot(state.z_primes, previous)
         else:  # corrupt_features: re-run the pipeline on shuffled features
             # One shuffle per graph, shared by all its subgraphs, so that
             # overlapping subgraphs agree on each node's corrupted category.
@@ -404,11 +398,7 @@ def batch_forward(
             twisted = _run_pipeline(
                 bound, tensors, k, config, tape, rng, feats_override=shuffled
             )
-            scored_neg = tape.matmul(twisted.z_primes, bound["sketch.w_mi"])
-            neg = tape.matmul(
-                tape.mul(scored_neg, tape.matmul(tape.constant(expansion), readouts)),
-                d2_ones,
-            )
+            neg = tape.rowdot(twisted.z_primes, own)
         mi = mi_loss(pos, neg, tape)
 
     loss = total_loss(

@@ -210,6 +210,12 @@ def _loss_for(op_name, t, inputs, extras):
         y = t.rowblock_weighted_sum(x[0], x[1])
     elif op_name == "dropout":
         y = t.dropout(x[0], 0.4, np.random.default_rng(extras["seed"]))
+    elif op_name == "rowdot":
+        y = t.rowdot(x[0], x[1])
+    elif op_name == "l2_penalty":
+        y = t.l2_penalty(x, 0.3)
+    elif op_name.startswith(("add_", "mul_", "div_")):
+        y = getattr(t, op_name[:3])(x[0], x[1])
     else:
         raise AssertionError(op_name)
     c = t.constant(extras["weighting"][: y.value.shape[0], : y.value.shape[1]])
@@ -231,6 +237,15 @@ def _inputs_for(op_name, rng):
         return [rand(rng, 6, 4)]
     if op_name == "block_diag_matmul_node":
         return [rand(rng, 6, 2), rand(rng, 6, 4)]  # three 2x2 blocks
+    if op_name == "rowdot":
+        return [rand(rng, 3, 4), rand(rng, 3, 4)]
+    if op_name == "l2_penalty":
+        return [rand(rng, 3, 4), rand(rng, 2, 1), rand(rng, 1, 5)]
+    if op_name.endswith(("_row", "_col")):
+        # Second operand: one row repeated down, or one column repeated across.
+        shape = (1, 4) if op_name.endswith("_row") else (3, 1)
+        b = rand(rng, *shape)
+        return [rand(rng, 3, 4), np.abs(b) + 0.5 if op_name.startswith("div") else b]
     return [rand(rng, 3, 4)]
 
 
@@ -238,7 +253,9 @@ DIFFERENTIABLE_OPS = [
     "matmul", "add", "mul", "div", "neg", "scale", "sigmoid", "tanh",
     "leaky_relu", "log", "exp", "sqrt", "softplus", "softmax_rows",
     "transpose", "reshape", "sum", "take_rows", "block_diag_matmul",
-    "block_diag_matmul_node", "rowblock_weighted_sum", "dropout",
+    "block_diag_matmul_node", "rowblock_weighted_sum", "dropout", "rowdot",
+    "l2_penalty", "add_row", "add_col", "mul_row", "mul_col", "div_row",
+    "div_col",
 ]
 
 
@@ -286,6 +303,109 @@ def test_block_diag_matmul_shape_errors():
         t.block_diag_matmul(t.constant(np.ones((6, 2))), t.constant(np.ones((4, 3))))
     with pytest.raises(ValueError, match="block_diag_matmul mismatch"):
         t.block_diag_matmul(np.ones((3, 2, 3)), t.constant(np.ones((6, 3))))
+
+
+# ------------------------------------------------ broadcasts, rowdot, L2
+
+
+@pytest.mark.parametrize("op", ["add", "mul", "div"])
+@pytest.mark.parametrize("shape", [(1, 3), (4, 1), (1, 1), (4, 3), (2, 3)])
+def test_binary_ops_reject_shapes_that_are_not_a_row_or_column(op, shape):
+    t = Tape()
+    a = t.constant(np.ones((3, 4)))
+    with pytest.raises(ValueError, match=rf"{op} shape mismatch: \(3, 4\) vs"):
+        getattr(t, op)(a, t.constant(np.ones(shape)))
+
+
+def test_binary_ops_broadcast_only_the_second_operand():
+    t = Tape()
+    with pytest.raises(ValueError, match="add shape mismatch"):
+        t.add(t.constant(np.ones((1, 4))), t.constant(np.ones((3, 4))))
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (1, 4), (3, 1)])
+def test_div_rejects_a_zero_denominator_in_every_layout(shape):
+    t = Tape()
+    b = np.full(shape, 2.0)
+    b[-1, -1] = 0.0
+    with pytest.raises(ValueError, match="div: zero entry in denominator"):
+        t.div(t.constant(np.ones((3, 4))), t.constant(b))
+
+
+@pytest.mark.parametrize("op", ["add", "mul", "div"])
+@pytest.mark.parametrize("layout", ["row", "col", "scalar_row"])
+def test_broadcasts_match_ones_matmul_bit_for_bit(op, layout):
+    # A broadcast stands for a ones-matrix matmul: ones(r, 1) @ row, or
+    # column @ ones(1, d).  Values and both gradients must carry the same
+    # bits as that explicit form.
+    rng = np.random.default_rng(["add", "mul", "div"].index(op))
+    r, d = (37, 1) if layout == "scalar_row" else (37, 7)
+    shape = (r, 1) if layout == "col" else (1, d)
+    a0 = rng.standard_normal((r, d)) * 10.0 ** rng.integers(-6, 6, size=(r, d))
+    b0 = np.abs(rng.standard_normal(shape)) + 0.25
+    weight = rng.standard_normal((r, d)) * 10.0 ** rng.integers(-6, 6, size=(r, d))
+
+    def run(broadcast):
+        t = Tape()
+        a, b = t.param(a0), t.param(b0)
+        if broadcast:
+            y = getattr(t, op)(a, b)
+        elif layout == "col":
+            y = getattr(t, op)(a, t.matmul(b, t.constant(np.ones((1, d)))))
+        else:
+            y = getattr(t, op)(a, t.matmul(t.constant(np.ones((r, 1))), b))
+        grads = t.backward(t.sum(t.mul(y, t.constant(weight))))
+        return y.value, grads[a], grads[b]
+
+    for got, want in zip(run(True), run(False)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_rowdot_values_and_shape_errors():
+    rng = np.random.default_rng(11)
+    a, b = rand(rng, 6, 5), rand(rng, 6, 5)
+    t = Tape()
+    out = t.rowdot(t.constant(a), t.constant(b))
+    assert out.shape == (6, 1)
+    want = np.array([[np.dot(a[i], b[i])] for i in range(6)])
+    np.testing.assert_allclose(out.value, want, rtol=1e-14, atol=1e-14)
+    with pytest.raises(ValueError, match=r"rowdot shape mismatch: \(6, 5\) vs \(6, 4\)"):
+        t.rowdot(t.constant(a), t.constant(b[:, :4]))
+    with pytest.raises(ValueError, match="rowdot shape mismatch"):
+        t.rowdot(t.constant(a), t.constant(b[:1]))
+
+
+def test_l2_penalty_matches_chain_of_square_sums_bit_for_bit():
+    # Recorded last on a tape where the parameters also feed another term,
+    # the fused node must reproduce the unfused chain's value and every
+    # accumulated gradient exactly.
+    rng = np.random.default_rng(12)
+    arrays = [rand(rng, 4, 3) * 10.0 ** e for e in (-3, 0, 4)] + [rand(rng, 1, 3)]
+
+    def run(fused):
+        t = Tape()
+        params = [t.param(a) for a in arrays]
+        other = t.sum(t.tanh(t.matmul(t.matmul(params[0], t.transpose(params[1])), params[2])))
+        other = t.add(other, t.sum(t.mul(params[3], params[3])))
+        if fused:
+            reg = t.l2_penalty(params, 0.01)
+        else:
+            total = None
+            for p in params:
+                term = t.sum(t.mul(p, p))
+                total = term if total is None else t.add(total, term)
+            reg = t.scale(total, 0.01)
+        loss = t.add(other, reg)
+        grads = t.backward(loss)
+        return [loss.value] + [grads[p] for p in params]
+
+    for got, want in zip(run(True), run(False)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_l2_penalty_of_no_parameters_is_zero():
+    t = Tape()
+    assert t.l2_penalty([], 0.5).value.tolist() == [[0.0]]
 
 
 # ---------------------------------------------------------------- misc

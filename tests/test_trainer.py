@@ -6,6 +6,7 @@ from subsketch.diffcore import Tape
 from subsketch.encoder import subgraph_features
 from subsketch.errors import ConfigError, TrainingDiverged
 from subsketch.sampler import build_sketched_graph
+from subsketch.sketch_mi import mi_loss
 from subsketch.trainer import (
     ModelParams,
     TrainConfig,
@@ -310,6 +311,101 @@ def test_mi_corrupt_shuffles_each_graph_once(dataset, monkeypatch):
             else:
                 seen[key] = category
     assert shared > 0
+
+
+def _forward_states(config, graphs, monkeypatch):
+    """One dropout-free forward pass, with every pipeline run it made."""
+    import subsketch.trainer as trainer
+
+    states = []
+
+    def recording(*args, **kwargs):
+        states.append(trainer_run(*args, **kwargs))
+        return states[-1]
+
+    trainer_run = trainer._run_pipeline
+    monkeypatch.setattr(trainer, "_run_pipeline", recording)
+    tensors = [precompute_tensors(g, config.n, config.s) for g in graphs]
+    model = init_model(np.random.default_rng(5), 4, 2, config)
+    tape = Tape(training=False)
+    result = batch_forward(
+        bind_model(model, tape), tensors, [g.label for g in graphs], 0.5, config,
+        tape, corrupt_rng=np.random.default_rng(6),
+    )
+    return model, result, states
+
+
+def _softplus(x):
+    return np.logaddexp(0.0, x)
+
+
+def test_alternative_graph_negatives_come_from_the_previous_graph(dataset, monkeypatch):
+    config = tiny_config(variant="full", dropout=0.0)
+    model, result, _ = _forward_states(config, dataset[:3], monkeypatch)
+    z, r, w = result.state.z_primes.value, result.readouts.value, model["sketch.w_mi"]
+    owner = np.repeat(np.arange(3), result.state.selected.shape[1])
+
+    def oracle(partner):
+        pos = np.einsum("id,de,ie->i", z, w, r[owner])
+        neg = np.einsum("id,de,ie->i", z, w, r[partner])
+        return (_softplus(-pos).sum() + _softplus(neg).sum()) / (2 * len(z))
+
+    got = result.mi.value[0, 0]
+    previous, following = oracle((owner - 1) % 3), oracle((owner + 1) % 3)
+    assert abs(got - previous) <= 1e-12 * abs(previous)
+    assert abs(got - following) > 1e-6 * abs(following)
+
+
+@pytest.mark.parametrize("variant", ["full", "mi_corrupt"])
+def test_batched_pair_scores_match_per_pair_oracle(dataset, monkeypatch, variant):
+    import subsketch.trainer as trainer
+
+    pairs = {}
+
+    def recording(pos, neg, tape):
+        pairs.update(pos=pos.value[:, 0], neg=neg.value[:, 0])
+        return mi_loss(pos, neg, tape)
+
+    monkeypatch.setattr(trainer, "mi_loss", recording)
+    config = tiny_config(variant=variant, dropout=0.0)
+    graphs = dataset[:4]
+    model, result, states = _forward_states(config, graphs, monkeypatch)
+    w, r = model["sketch.w_mi"], result.readouts.value
+    z = states[0].z_primes.value
+    # Negatives: the previous graph's readout, or the feature-shuffled pass.
+    z_neg = z if variant == "full" else states[1].z_primes.value
+    kept = states[0].selected.shape[1]
+    want_pos, want_neg = [], []
+    for i in range(len(z)):
+        b = i // kept
+        want_pos.append(float(z[i] @ w @ r[b]))
+        partner = (b - 1) % len(graphs) if variant == "full" else b
+        want_neg.append(float(z_neg[i] @ w @ r[partner]))
+    for got, want in ((pairs["pos"], want_pos), (pairs["neg"], want_neg)):
+        want = np.asarray(want)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+# Tape nodes one training step records at the default head count (dropout
+# on).  Fewer nodes is the point of the fused ops; a change here should be
+# deliberate.
+STEP_TAPE_NODES = {"full": 96, "no_mi": 81, "mi_corrupt": 149}
+
+
+@pytest.mark.parametrize("variant", sorted(STEP_TAPE_NODES))
+def test_training_step_tape_size_is_pinned(dataset, variant):
+    config = TrainConfig(variant=variant)
+    graphs = dataset[:8]
+    tensors = [precompute_tensors(g, config.n, config.s) for g in graphs]
+    model = init_model(np.random.default_rng(0), 4, 2, config)
+    tape = Tape(training=True)
+    result = batch_forward(
+        bind_model(model, tape), tensors, [g.label for g in graphs], 0.5, config,
+        tape, rng=np.random.default_rng(1), corrupt_rng=np.random.default_rng(2),
+    )
+    tape.backward(result.loss)
+    assert len(tape.nodes) == STEP_TAPE_NODES[variant]
 
 
 @pytest.mark.parametrize("seed", range(12))
