@@ -333,6 +333,32 @@ class Tape:
         out.backward_rule = rule
         return out
 
+    def vote_nll(self, logits: Node, labels, m: int) -> Node:
+        """Mean over graphs of ``-log(mean_i softmax(z_i)[y])``, in log space.
+
+        Graph b owns ``logits`` rows [b*m, (b+1)*m) and class ``labels[b]``;
+        row i's gradient is ``softmax(z_i) - onehot(y)`` times its vote share.
+        """
+        b, y = len(labels), np.repeat(np.asarray(labels, dtype=np.intp), m)
+        if m < 1 or logits.value.shape[0] != b * m:
+            raise ValueError(f"vote_nll: {logits.value.shape} logits for {b}x{m} rows")
+        shifted = logits.value - logits.value.max(axis=1, keepdims=True)
+        log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        picked = log_probs[np.arange(b * m), y].reshape(b, m)
+        top = picked.max(axis=1, keepdims=True)
+        share = np.exp(picked - top)
+        total = share.sum(axis=1, keepdims=True)
+        loss = (top + np.log(total) - np.log(m)).sum() * (-1.0 / b)
+        out = self._record(np.array([[loss]]), (logits,))
+
+        def rule(g):
+            grad = np.exp(log_probs)
+            grad[np.arange(b * m), y] -= 1.0
+            return (grad * ((share / total).reshape(-1, 1) * (g[0, 0] / b)),)
+
+        out.backward_rule = rule
+        return out
+
     # -------------------------------------------------------------- dropout
 
     def dropout(self, x: Node, rate: float, rng: np.random.Generator) -> Node:

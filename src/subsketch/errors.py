@@ -10,6 +10,5 @@ class ConfigError(ValueError):
 
 
 class TrainingDiverged(ArithmeticError):
-    """A training step drove a true class's vote probability to 0 or made the
-    loss or a gradient non-finite; the message names the fold, epoch and
-    batch."""
+    """A training step made the loss or a gradient non-finite; the message
+    names the fold, epoch and batch."""

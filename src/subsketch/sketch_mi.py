@@ -12,8 +12,8 @@ toward 0, written with softplus on the raw bilinear scores so extreme scores
 cannot overflow the log.
 
 Negative pairs come either from another graph in the batch, the previous
-one (``alternative_graph``), or from re-encoding the same graph with its
-node categories shuffled by :func:`corrupt` (``corrupt_features``).
+one (``full`` and ``fixed_k``), or from re-encoding the same graph with its
+node categories shuffled by :func:`corrupt` (``mi_corrupt``).
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ def inter_attention_with_mask(
     for w, a in heads:
         projected = tape.matmul(zs, tape.transpose(w))  # B*M x d2
         d2 = w.shape[0]
-        src = tape.matmul(projected, _slice_rows(a, 0, d2, tape))
-        dst = tape.matmul(projected, _slice_rows(a, d2, 2 * d2, tape))
+        src = tape.matmul(projected, tape.take_rows(a, range(d2)))
+        dst = tape.matmul(projected, tape.take_rows(a, range(d2, 2 * d2)))
         # e_ij = leaky_relu(src_i + dst_j): each graph's dst row is repeated
         # for that graph's M rows, and the src column across the M columns.
         logits = tape.leaky_relu(
@@ -74,10 +74,6 @@ def inter_attention_with_mask(
     for extra in head_outputs[1:]:
         total = tape.add(total, extra)
     return tape.scale(total, 1.0 / len(head_outputs)), coefficients
-
-
-def _slice_rows(a: Node, start: int, stop: int, tape: Tape) -> Node:
-    return tape.take_rows(a, list(range(start, stop)))
 
 
 def mi_loss(pos_logits: Node, neg_logits: Node, tape: Tape) -> Node:

@@ -12,7 +12,8 @@ graph keeps the same number M of supernodes, so the selection is one (B, M)
 array of subgraph indices, supernode rows are grouped by graph, and sketch
 attention runs on (B*M, M) blocks, one M x M block per graph, never forming
 cross-graph pairs.  Top-k ranking and sketched-graph construction run per
-graph on plain numpy values between tape ops.
+graph on plain numpy values between tape ops.  The vote cross-entropy is one
+log-space tape op on the subgraph logits (``Tape.vote_nll``).
 
 Variants:
     full        adaptive k, negatives from the previous graph in the batch
@@ -68,15 +69,21 @@ class TrainConfig:
             raise ConfigError(
                 f"unknown variant {self.variant!r}; expected one of {VARIANTS}"
             )
-        if self.beta < 0:
-            raise ConfigError(f"beta must be non-negative, got {self.beta}")
-        if self.l2 < 0:
-            raise ConfigError(f"l2 must be non-negative, got {self.l2}")
+        for name in ("lr", "beta", "l2"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and non-negative, got {value}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if self.b_com < 0:
+            raise ConfigError(f"b_com must be non-negative, got {self.b_com}")
         if not 0.0 < self.k0 <= 1.0:
             raise ConfigError(f"k0 must lie in (0, 1], got {self.k0}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
-        for name in ("n", "s", "d1", "d2", "heads", "epochs", "batch_size", "jobs"):
+        for name in (
+            "n", "s", "d1", "d2", "heads", "epochs", "batch_size", "patience", "jobs"
+        ):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.dk is not None and not 0.0 < self.dk <= 1.0:
@@ -85,14 +92,6 @@ class TrainConfig:
     @property
     def resolved_dk(self) -> float:
         return self.dk if self.dk is not None else 1.0 / self.n
-
-    @property
-    def mi_strategy(self) -> str:
-        if self.variant == "no_mi":
-            return "none"
-        if self.variant == "mi_corrupt":
-            return "corrupt_features"
-        return "alternative_graph"
 
 
 class ModelParams(dict):
@@ -189,25 +188,18 @@ def predict_label(distribution: np.ndarray) -> int:
 
 
 def total_loss(
-    graph_dists: Node,
+    logits: Node,
     labels: list[int],
+    m: int,
     mi_value: Node | None,
     param_nodes: list[Node],
     beta: float,
     l2: float,
     tape: Tape,
 ) -> Node:
-    """Cross-entropy + beta * MI + l2 * ||params||^2, means over the batch."""
-    b, classes = graph_dists.shape
-    onehot = np.zeros((b, classes))
-    onehot[np.arange(b), labels] = 1.0
-    picked = tape.matmul(
-        tape.mul(graph_dists, tape.constant(onehot)),
-        tape.constant(np.ones((classes, 1))),
-    )
-    if not np.all(picked.value > 0.0):
-        raise TrainingDiverged("the vote probability of a true class reached 0")
-    loss = tape.scale(tape.sum(tape.log(picked)), -1.0 / b)
+    """Vote cross-entropy of (B*m, C) subgraph logits, graph b in rows
+    [b*m, (b+1)*m), + beta * MI + l2 * ||params||^2, means over the batch."""
+    loss = tape.vote_nll(logits, labels, m)
     if mi_value is not None and beta != 0.0:
         loss = tape.add(loss, tape.scale(mi_value, beta))
     if l2 != 0.0:
@@ -349,15 +341,15 @@ def batch_forward(
 ) -> ForwardResult:
     state = _run_pipeline(bound, tensors, k, config, tape, rng)
     batch, kept = state.selected.shape
-    # (B, B*M) rows that average each graph's supernode block.
-    averager = tape.constant(np.repeat(np.eye(batch), kept, axis=1) / kept)
-    readouts = tape.matmul(averager, state.z_primes)  # (B, d2)
+    # Each graph's mean over its block of M supernode rows.
+    mean_weights = tape.constant(np.full((batch, kept), 1.0 / kept))
+    readouts = tape.rowblock_weighted_sum(mean_weights, state.z_primes)  # (B, d2)
 
     logits = tape.add(
         tape.matmul(state.z_primes, bound["classifier.w"]), bound["classifier.b"]
     )
     sub_dists = tape.softmax_rows(logits)
-    graph_dists = tape.matmul(averager, sub_dists)
+    graph_dists = tape.rowblock_weighted_sum(mean_weights, sub_dists)
 
     correct = int(
         np.sum(np.argmax(graph_dists.value, axis=1) == np.asarray(labels))
@@ -366,26 +358,25 @@ def batch_forward(
         return ForwardResult(None, None, graph_dists, sub_dists, readouts, state, correct)
 
     mi = None
-    strategy = config.mi_strategy
-    if strategy != "none":
+    if config.variant != "no_mi":
         # The bilinear score z W r of a (supernode z, readout r) pair is
         # z . (r W^T): W meets the B readouts once, and each pair is a row
         # dot with its graph's summary row.  The corrupted pass keeps the
-        # same count M, so both strategies share the row -> graph map.
+        # same count M, so both kinds of negative share the row -> graph map.
         summary = tape.matmul(readouts, tape.transpose(bound["sketch.w_mi"]))
         graph_of_row = np.repeat(np.arange(batch), kept)
         own = tape.take_rows(summary, graph_of_row)
         pos = tape.rowdot(state.z_primes, own)
-        if strategy == "alternative_graph":
+        if config.variant != "mi_corrupt":
             if len(tensors) < 2:
                 raise ConfigError(
-                    "alternative_graph negatives need a batch of at least 2 graphs"
+                    f"{config.variant} negatives need a batch of at least 2 graphs"
                 )
             # Graph b's supernodes meet the previous graph's summary, and
             # graph 0's meet the last graph's.
             previous = tape.take_rows(summary, (graph_of_row - 1) % batch)
             neg = tape.rowdot(state.z_primes, previous)
-        else:  # corrupt_features: re-run the pipeline on shuffled features
+        else:  # mi_corrupt: re-run the pipeline on shuffled features
             # One shuffle per graph, shared by all its subgraphs, so that
             # overlapping subgraphs agree on each node's corrupted category.
             shuffled = [
@@ -402,13 +393,7 @@ def batch_forward(
         mi = mi_loss(pos, neg, tape)
 
     loss = total_loss(
-        graph_dists,
-        labels,
-        mi,
-        list(bound.values()),
-        config.beta,
-        config.l2,
-        tape,
+        logits, labels, kept, mi, list(bound.values()), config.beta, config.l2, tape
     )
     return ForwardResult(loss, mi, graph_dists, sub_dists, readouts, state, correct)
 
@@ -505,28 +490,21 @@ def train_fold(
             labels = [tensors[i].graph.label for i in batch_ids]
             tape = Tape(training=True)
             bound = bind_model(model, tape)
-            try:
+            # Overflow and NaN are reported below, naming the batch.
+            with np.errstate(over="ignore", invalid="ignore"):
                 result = batch_forward(
-                    bound,
-                    batch_tensors,
-                    labels,
-                    k_used,
-                    config,
-                    tape,
-                    rng=rng_dropout,
-                    corrupt_rng=rng_corrupt,
+                    bound, batch_tensors, labels, k_used, config, tape,
+                    rng=rng_dropout, corrupt_rng=rng_corrupt,
                 )
                 grads = tape.backward(result.loss)
-                grads = {name: grads[node] for name, node in bound.items()}
-                if not np.isfinite(result.loss.value[0, 0]) or not all(
-                    np.isfinite(g).all() for g in grads.values()
-                ):
-                    raise TrainingDiverged("the loss or a gradient is not finite")
-            except TrainingDiverged as exc:
+            grads = {name: grads[node] for name, node in bound.items()}
+            if not np.isfinite(result.loss.value[0, 0]) or not all(
+                np.isfinite(g).all() for g in grads.values()
+            ):
                 raise TrainingDiverged(
                     f"training diverged in fold {fold}, epoch {epoch}, "
-                    f"batch {step}: {exc}"
-                ) from None
+                    f"batch {step}: the loss or a gradient is not finite"
+                )
             sgd_momentum_step(model, grads, config.lr, config.momentum, velocity)
             epoch_loss += result.loss.value[0, 0] * len(batch_ids)
             epoch_correct += result.correct

@@ -301,6 +301,26 @@ def classify_graph(z_primes: Node, weights: Node, bias: Node, tape: Tape) -> tup
     return tape.matmul(mean, sub_dists), sub_dists
 
 
+def vote_loss_chain(logits: Node, labels: list[int], m: int, tape: Tape) -> Node:
+    """Vote cross-entropy in probability space, the oracle for ``Tape.vote_nll``.
+
+    Per-row softmax, a (B, B*m) matmul that averages each graph's m rows,
+    then a one-hot pick of the true class, ``log``, sum and scale by -1/B.
+    ``log`` rejects a true-class vote that underflowed to 0.
+    """
+    b = len(labels)
+    averager = tape.constant(np.repeat(np.eye(b), m, axis=1) / m)
+    graph_dists = tape.matmul(averager, tape.softmax_rows(logits))
+    classes = graph_dists.shape[1]
+    onehot = np.zeros((b, classes))
+    onehot[np.arange(b), labels] = 1.0
+    picked = tape.matmul(
+        tape.mul(graph_dists, tape.constant(onehot)),
+        tape.constant(np.ones((classes, 1))),
+    )
+    return tape.scale(tape.sum(tape.log(picked)), -1.0 / b)
+
+
 # --------------------------------------------------------------- dataset
 
 

@@ -371,6 +371,14 @@ def test_unknown_config_key_exits_with_two(workspace, tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_nan_learning_rate_in_config_exits_with_two(workspace, tmp_path, capsys):
+    config = tmp_path / "nan.cfg"
+    config.write_text("lr = nan\n")
+    args = _train_args(workspace, "out_nan", extra=["--config", str(config)])
+    assert main(args) == 2
+    assert "lr must be finite and non-negative, got nan" in capsys.readouterr().err
+
+
 def test_diverging_training_exits_one_naming_fold_epoch_and_batch(
     workspace, tmp_path, capsys
 ):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from subsketch.diffcore import Tape, as_matrix
 
+from _reference import vote_loss_chain
 from gradcheck import assert_grads_close, finite_diff_grads, max_rel_err
 
 
@@ -214,6 +215,8 @@ def _loss_for(op_name, t, inputs, extras):
         y = t.rowdot(x[0], x[1])
     elif op_name == "l2_penalty":
         y = t.l2_penalty(x, 0.3)
+    elif op_name == "vote_nll":
+        y = t.vote_nll(x[0], [2, 0, 1], 2)
     elif op_name.startswith(("add_", "mul_", "div_")):
         y = getattr(t, op_name[:3])(x[0], x[1])
     else:
@@ -241,6 +244,8 @@ def _inputs_for(op_name, rng):
         return [rand(rng, 3, 4), rand(rng, 3, 4)]
     if op_name == "l2_penalty":
         return [rand(rng, 3, 4), rand(rng, 2, 1), rand(rng, 1, 5)]
+    if op_name == "vote_nll":
+        return [2.0 * rand(rng, 6, 3)]  # three graphs of two rows, three classes
     if op_name.endswith(("_row", "_col")):
         # Second operand: one row repeated down, or one column repeated across.
         shape = (1, 4) if op_name.endswith("_row") else (3, 1)
@@ -255,7 +260,7 @@ DIFFERENTIABLE_OPS = [
     "transpose", "reshape", "sum", "take_rows", "block_diag_matmul",
     "block_diag_matmul_node", "rowblock_weighted_sum", "dropout", "rowdot",
     "l2_penalty", "add_row", "add_col", "mul_row", "mul_col", "div_row",
-    "div_col",
+    "div_col", "vote_nll",
 ]
 
 
@@ -406,6 +411,36 @@ def test_l2_penalty_matches_chain_of_square_sums_bit_for_bit():
 def test_l2_penalty_of_no_parameters_is_zero():
     t = Tape()
     assert t.l2_penalty([], 0.5).value.tolist() == [[0.0]]
+
+
+@pytest.mark.parametrize("classes", [2, 3])
+@pytest.mark.parametrize("m", [1, 6, 15])
+@pytest.mark.parametrize("b", [1, 3, 32])
+def test_vote_nll_matches_probability_space_chain(b, m, classes):
+    rng = np.random.default_rng(100 * b + 10 * m + classes)
+    logits = 3.0 * rand(rng, b * m, classes)
+    labels = rng.integers(0, classes, size=b).tolist()
+
+    def run(op):
+        t = Tape()
+        z = t.param(logits)
+        loss = op(z, labels, m, t)
+        return loss.value, t.backward(loss)[z]
+
+    got = run(lambda z, y, m, t: t.vote_nll(z, y, m))
+    want = run(vote_loss_chain)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert max_rel_err(g, w) <= 1e-12
+
+
+def test_vote_nll_rejects_rows_that_do_not_fit_the_graphs():
+    t = Tape()
+    z = t.constant(np.zeros((6, 2)))
+    with pytest.raises(ValueError, match=r"vote_nll: \(6, 2\) logits for 2x4 rows"):
+        t.vote_nll(z, [0, 1], 4)
+    with pytest.raises(ValueError, match="vote_nll"):
+        t.vote_nll(t.constant(np.zeros((0, 2))), [], 0)
 
 
 # ---------------------------------------------------------------- misc

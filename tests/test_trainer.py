@@ -58,9 +58,24 @@ def test_config_validation():
     with pytest.raises(ConfigError, match="k0"):
         TrainConfig(k0=0.0)
     assert TrainConfig(n=10).resolved_dk == pytest.approx(0.1)
-    assert TrainConfig(variant="no_mi").mi_strategy == "none"
-    assert TrainConfig(variant="mi_corrupt").mi_strategy == "corrupt_features"
-    assert TrainConfig(variant="fixed_k").mi_strategy == "alternative_graph"
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("lr", -1.0),
+        ("lr", float("nan")),
+        ("momentum", 1.5),
+        ("momentum", -0.5),
+        ("patience", -3),
+        ("b_com", -2),
+        ("beta", float("nan")),
+        ("l2", float("nan")),
+    ],
+)
+def test_config_rejects_malformed_training_settings(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must"):
+        TrainConfig(**{field: value})
 
 
 def test_classify_single_subgraph_is_its_own_softmax():
@@ -109,27 +124,36 @@ def test_distributions_are_valid(seed):
         np.testing.assert_allclose(dists.sum(axis=1), 1.0, atol=1e-9)
 
 
+# One subgraph per graph whose logits are log-probabilities, so each
+# graph's vote is the row itself.
 def test_total_loss_pure_cross_entropy():
     tape = Tape()
-    dists = tape.constant(np.array([[0.9, 0.1], [0.25, 0.75]]))
-    loss = total_loss(dists, [0, 1], None, [], beta=0.0, l2=0.0, tape=tape)
+    logits = tape.constant(np.log(np.array([[0.9, 0.1], [0.25, 0.75]])))
+    loss = total_loss(logits, [0, 1], 1, None, [], beta=0.0, l2=0.0, tape=tape)
     want = -0.5 * (np.log(0.9) + np.log(0.75))
     assert loss.value[0, 0] == pytest.approx(want, abs=1e-12)
 
 
+def test_total_loss_averages_the_votes_of_a_graphs_subgraphs():
+    tape = Tape()
+    logits = tape.constant(np.log(np.array([[0.9, 0.1], [0.3, 0.7]])))
+    loss = total_loss(logits, [0], 2, None, [], beta=0.0, l2=0.0, tape=tape)
+    assert loss.value[0, 0] == pytest.approx(-np.log(0.6), abs=1e-12)
+
+
 def test_total_loss_perfect_predictions():
     tape = Tape()
-    dists = tape.constant(np.array([[1 - 1e-9, 1e-9], [1e-9, 1 - 1e-9]]))
-    loss = total_loss(dists, [0, 1], None, [], beta=0.0, l2=0.0, tape=tape)
+    logits = tape.constant(np.log(np.array([[1 - 1e-9, 1e-9], [1e-9, 1 - 1e-9]])))
+    loss = total_loss(logits, [0, 1], 1, None, [], beta=0.0, l2=0.0, tape=tape)
     assert 0.0 <= loss.value[0, 0] < 1e-8
 
 
 def test_total_loss_hand_arithmetic_with_l2():
     tape = Tape()
-    dists = tape.constant(np.array([[0.9, 0.1], [0.25, 0.75]]))
+    logits = tape.constant(np.log(np.array([[0.9, 0.1], [0.25, 0.75]])))
     theta = tape.param(np.array([[1.0, 2.0], [3.0, 4.0]]))
     mi = tape.constant(np.array([[0.5]]))
-    loss = total_loss(dists, [0, 1], mi, [theta], beta=0.8, l2=0.1, tape=tape)
+    loss = total_loss(logits, [0, 1], 1, mi, [theta], beta=0.8, l2=0.1, tape=tape)
     want = -0.5 * (np.log(0.9) + np.log(0.75)) + 0.8 * 0.5 + 0.1 * 30.0
     assert loss.value[0, 0] == pytest.approx(want, abs=1e-12)
 
@@ -173,9 +197,9 @@ def test_registry_covers_every_parameter_and_l2_matches(dataset):
     tape = Tape()
     bound = bind_model(model, tape)
     assert set(bound) == set(registry)
-    dists = tape.constant(np.array([[0.5, 0.5]]))
+    logits = tape.constant(np.zeros((1, 2)))
     loss = total_loss(
-        dists, [0], None, list(bound.values()), beta=0.0, l2=1.0, tape=tape
+        logits, [0], 1, None, list(bound.values()), beta=0.0, l2=1.0, tape=tape
     )
     want = -np.log(0.5) + sum(np.sum(a * a) for a in registry.values())
     assert loss.value[0, 0] == pytest.approx(want, rel=1e-12)
@@ -390,7 +414,7 @@ def test_batched_pair_scores_match_per_pair_oracle(dataset, monkeypatch, variant
 # Tape nodes one training step records at the default head count (dropout
 # on).  Fewer nodes is the point of the fused ops; a change here should be
 # deliberate.
-STEP_TAPE_NODES = {"full": 96, "no_mi": 81, "mi_corrupt": 149}
+STEP_TAPE_NODES = {"full": 90, "no_mi": 75, "mi_corrupt": 143}
 
 
 @pytest.mark.parametrize("variant", sorted(STEP_TAPE_NODES))
@@ -433,6 +457,38 @@ def test_divergence_names_fold_epoch_and_batch(dataset):
     plan = make_folds(dataset, config.seed, config.fold_count)
     with pytest.raises(TrainingDiverged, match=r"fold 1, epoch \d+, batch \d+: "):
         train_fold(dataset, plan, 1, config)
+
+
+@pytest.mark.filterwarnings("error")
+def test_divergence_is_reported_without_numpy_warnings(dataset):
+    config = tiny_config(lr=10.0, l2=0.0, epochs=3, seed=0)
+    plan = make_folds(dataset, config.seed, config.fold_count)
+    with pytest.raises(TrainingDiverged, match="not finite"):
+        train_fold(dataset, plan, 1, config)
+
+
+def test_vote_loss_stays_finite_when_true_class_votes_underflow(dataset):
+    # Every subgraph puts the true class 0 about 1000 below class 1, so each
+    # graph's vote for it is 0.0 in probability space.
+    config = tiny_config(variant="no_mi", l2=0.0)
+    graphs = dataset[:4]
+    tensors = [precompute_tensors(g, config.n, config.s) for g in graphs]
+    model = init_model(np.random.default_rng(0), 4, 2, config)
+    model["classifier.b"][:] = [[0.0, 1000.0]]
+    tape = Tape(training=False)
+    bound = bind_model(model, tape)
+    result = batch_forward(bound, tensors, [0] * len(graphs), 0.5, config, tape)
+    logits = result.state.z_primes.value @ model["classifier.w"] + model["classifier.b"]
+    margins = logits[:, 1] - logits[:, 0]
+    assert margins.min() >= 800.0
+    assert np.all(result.graph_dists.value[:, 0] == 0.0)
+
+    grads = tape.backward(result.loss)
+    loss = result.loss.value[0, 0]
+    assert margins.min() <= loss <= margins.max()
+    assert all(np.isfinite(g).all() for g in grads.values())
+    # All of the vote's gradient moves the bias from class 1 to class 0.
+    np.testing.assert_allclose(grads[bound["classifier.b"]], [[-1.0, 1.0]], rtol=1e-12)
 
 
 def test_non_finite_gradient_stops_training(dataset, monkeypatch):
