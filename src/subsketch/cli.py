@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import fields, replace
 
-from .dataset import make_folds, parse_tu_dataset
+from .dataset import dataset_stats, make_folds, parse_tu_dataset
 from .errors import ConfigError, DatasetFormatError
 from .explain import explain_graph, write_dot, write_graph_json
 from .persist import (
@@ -140,6 +140,22 @@ def _load_graphs(settings: Settings):
     return parse_tu_dataset(settings.dataset_dir, settings.dataset)
 
 
+def _check_model_fits(settings: Settings, model, graphs) -> None:
+    """Reject, before any forward pass, a dataset with more node categories
+    or classes than the saved model's first layer and classifier hold."""
+    stats = dataset_stats(graphs)
+    manifest = os.path.join(settings.out_dir, "model.manifest.json")
+    for what, need, have in (
+        ("node categories", stats.feature_dim, model["encoder.layer0"].shape[0]),
+        ("classes", stats.num_classes, model["classifier.w"].shape[1]),
+    ):
+        if need > have:
+            raise ConfigError(
+                f"{settings.dataset_dir} has {need} {what}, but the model in "
+                f"{manifest} was trained on {have}"
+            )
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     settings = resolve_settings(args)
     graphs = _load_graphs(settings)
@@ -175,6 +191,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     settings = resolve_settings(args)
     model, saved_config, final_k = load_model(settings.out_dir)
     graphs = _load_graphs(settings)
+    _check_model_fits(settings, model, graphs)
     plan = make_folds(graphs, saved_config.seed, saved_config.fold_count)
     if not 0 <= args.fold < plan.fold_count:
         raise ConfigError(
@@ -237,6 +254,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     settings = resolve_settings(args)
     model, saved_config, final_k = load_model(settings.out_dir)
     graphs = _load_graphs(settings)
+    _check_model_fits(settings, model, graphs)
     match = next((g for g in graphs if g.index == args.graph_id), None)
     if match is None:
         raise ConfigError(

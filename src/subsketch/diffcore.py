@@ -6,6 +6,18 @@ topological order: an operand node always exists before its consumer.
 Calling ``Tape.backward`` on a scalar (1x1) node walks the tape in reverse
 and accumulates gradients into every parameter node.
 
+Two switches set a tape's mode. ``training`` toggles dropout. ``record``
+decides whether anything is kept for backward: a forward-only tape
+(``record=False``) returns nodes with no operands and no backward rule and
+keeps no list of them, so each intermediate array is freed as soon as the
+forward drops it, and its ``backward`` raises.  Evaluation and explain run
+on such a tape.
+
+Gathers know their index pattern: ``take_rows`` slices a contiguous
+``range`` and zero-pads its gradient, ``repeat_rows`` repeats each row in
+equal runs and sums each run's gradient rows in order, and any other index
+array scatter-adds with one ``np.bincount``.
+
 Broadcasting is narrow and explicit: ``add``, ``mul`` and ``div`` take a
 second operand of the first's shape, or a single (1, d) row repeated down
 its rows, or a single (r, 1) column repeated across its columns. That
@@ -62,17 +74,23 @@ class Tape:
     """Linear record of operations with reverse-mode gradient accumulation.
 
     Single-threaded by design: one tape per training step. ``training``
-    toggles dropout behavior; everything else is mode-independent.
+    toggles dropout. ``record`` decides whether anything is kept for
+    backward; with ``record=False`` no node, operand or backward rule is
+    kept, ``nodes`` and ``params`` stay empty and ``backward`` raises.
+    Values are computed the same way in every mode.
     """
 
-    def __init__(self, training: bool = True):
+    def __init__(self, training: bool = True, record: bool = True):
         self.nodes: list[Node] = []
         self.params: list[Node] = []
         self.training = training
+        self.record = record
 
     # ------------------------------------------------------------------ leaves
 
     def _record(self, value, parents=(), backward_rule=None, is_param=False, name=None) -> Node:
+        if not self.record:
+            return Node(value, (), None, is_param, name)
         node = Node(value, tuple(parents), backward_rule, is_param, name)
         self.nodes.append(node)
         if is_param:
@@ -110,18 +128,19 @@ class Tape:
             raise ValueError(
                 f"matmul dimension mismatch: {a.value.shape} @ {b.value.shape}"
             )
-        out = self._record(a.value @ b.value, (a, b))
 
         def rule(g):
-            return (g @ b.value.T, a.value.T @ g)
+            # With one column in b, g @ b.T is an outer product: one multiply
+            # per entry, the same bits as a k=1 gemm at half its cost.
+            ga = g * b.value.T if b.value.shape[1] == 1 else g @ b.value.T
+            return (ga, a.value.T @ g)
 
-        out.backward_rule = rule
-        return out
+        return self._record(a.value @ b.value, (a, b), rule)
 
     def transpose(self, x: Node) -> Node:
-        out = self._record(np.ascontiguousarray(x.value.T), (x,))
-        out.backward_rule = lambda g: (np.ascontiguousarray(g.T),)
-        return out
+        return self._record(
+            np.ascontiguousarray(x.value.T), (x,), lambda g: (np.ascontiguousarray(g.T),)
+        )
 
     def reshape(self, x: Node, rows: int, cols: int) -> Node:
         if rows * cols != x.value.size:
@@ -129,15 +148,29 @@ class Tape:
                 f"reshape size mismatch: {x.value.shape} -> ({rows}, {cols})"
             )
         shape = x.value.shape
-        out = self._record(x.value.reshape(rows, cols), (x,))
-        out.backward_rule = lambda g: (g.reshape(shape),)
-        return out
+        return self._record(
+            x.value.reshape(rows, cols), (x,), lambda g: (g.reshape(shape),)
+        )
 
     def take_rows(self, x: Node, indices) -> Node:
-        """Gather rows (duplicates allowed); backward scatter-adds."""
-        idx = np.asarray(indices, dtype=np.intp)
-        out = self._record(np.take(x.value, idx, axis=0), (x,))
+        """Gather rows (duplicates allowed); backward scatter-adds.
+
+        A ``range`` of step 1 inside ``x`` is a contiguous block: the forward
+        takes a slice and the backward zero-pads the gradient around it.
+        """
         rows, cols = x.value.shape
+        if isinstance(indices, range) and indices.step == 1 and (
+            0 <= indices.start <= indices.stop <= rows
+        ):
+            block = slice(indices.start, indices.stop)
+
+            def pad(g):
+                gx = np.zeros((rows, cols))
+                gx[block] = g
+                return (gx,)
+
+            return self._record(x.value[block], (x,), pad)
+        idx = np.asarray(indices, dtype=np.intp)
 
         def rule(g):
             # One flat bincount adds in index order from zero, exactly as
@@ -146,14 +179,31 @@ class Tape:
             gx = np.bincount(flat, weights=g.ravel(), minlength=rows * cols)
             return (gx.reshape(rows, cols),)
 
-        out.backward_rule = rule
-        return out
+        return self._record(np.take(x.value, idx, axis=0), (x,), rule)
+
+    def repeat_rows(self, x: Node, reps: int, shift: int = 0) -> Node:
+        """Each row of ``x`` ``reps`` times in a run, the runs rotated down by
+        ``shift``: row i is ``x``'s row ``(i // reps - shift) % rows``.
+
+        The backward sums each run's gradient rows in order, the additions a
+        scatter-add of those indices makes (for a one-column ``x``, numpy's
+        pairwise summation of runs of 8 or more rows may round differently).
+        """
+        rows, cols = x.value.shape
+        # np.roll copies even when it does not move anything
+        src = np.roll(x.value, shift, axis=0) if shift else x.value
+
+        def rule(g):
+            runs = g.reshape(rows, reps, cols).sum(axis=1)
+            return (np.roll(runs, -shift, axis=0) if shift else runs,)
+
+        return self._record(np.repeat(src, reps, axis=0), (x,), rule)
 
     def sum(self, x: Node) -> Node:
         """Sum of all entries as a 1x1 matrix."""
-        out = self._record(np.array([[x.value.sum()]]), (x,))
-        out.backward_rule = lambda g: (np.full_like(x.value, g[0, 0]),)
-        return out
+        return self._record(
+            np.array([[x.value.sum()]]), (x,), lambda g: (np.full_like(x.value, g[0, 0]),)
+        )
 
     def l2_penalty(self, params: list[Node], c: float) -> Node:
         """``c`` times the sum of squares of every entry of ``params`` (1x1).
@@ -163,11 +213,10 @@ class Tape:
         """
         c = float(c)
         total = sum((p.value * p.value).sum() for p in params)
-        out = self._record(np.array([[total * c]]), params)
-        out.backward_rule = lambda g: tuple(
-            2.0 * ((g[0, 0] * c) * p.value) for p in params
+        return self._record(
+            np.array([[total * c]]), params,
+            lambda g: tuple(2.0 * ((g[0, 0] * c) * p.value) for p in params),
         )
-        return out
 
     def rowdot(self, a: Node, b: Node) -> Node:
         """Dot product of each row of ``a`` with the same row of ``b`` (r x 1)."""
@@ -175,9 +224,10 @@ class Tape:
             raise ValueError(
                 f"rowdot shape mismatch: {a.value.shape} vs {b.value.shape}"
             )
-        out = self._record(np.einsum("ij,ij->i", a.value, b.value)[:, None], (a, b))
-        out.backward_rule = lambda g: (g * b.value, g * a.value)
-        return out
+        return self._record(
+            np.einsum("ij,ij->i", a.value, b.value)[:, None], (a, b),
+            lambda g: (g * b.value, g * a.value),
+        )
 
     def block_diag_matmul(self, blocks: np.ndarray | Node, h: Node) -> Node:
         """Multiply a block-diagonal matrix by ``h``.
@@ -204,9 +254,6 @@ class Tape:
         m, s, _ = b.shape
         d = h.value.shape[1]
         hr = h.value.reshape(m, s, d)
-        # Stacked np.matmul, not einsum: on batches of small blocks einsum's
-        # generic loops run about 10x slower.
-        out = self._record(np.matmul(b, hr).reshape(m * s, d), parents)
 
         def rule(g):
             gr = g.reshape(m, s, d)
@@ -215,8 +262,9 @@ class Tape:
                 return (gh,)
             return (np.matmul(gr, hr.transpose(0, 2, 1)).reshape(m * s, s), gh)
 
-        out.backward_rule = rule
-        return out
+        # Stacked np.matmul, not einsum: on batches of small blocks einsum's
+        # generic loops run about 10x slower.
+        return self._record(np.matmul(b, hr).reshape(m * s, d), parents, rule)
 
     def rowblock_weighted_sum(self, w: Node, h: Node) -> Node:
         """out[i] = sum_j w[i, j] * h[i*s + j]  (w: m x s, h: (m*s) x d)."""
@@ -227,96 +275,83 @@ class Tape:
             )
         d = h.value.shape[1]
         hr = h.value.reshape(m, s, d)
-        out = self._record(np.einsum("ms,msd->md", w.value, hr), (w, h))
 
         def rule(g):
             gw = np.einsum("md,msd->ms", g, hr)
             gh = np.einsum("ms,md->msd", w.value, g).reshape(m * s, d)
             return (gw, gh)
 
-        out.backward_rule = rule
-        return out
+        return self._record(np.einsum("ms,msd->md", w.value, hr), (w, h), rule)
 
     # ---------------------------------------------------------------- entrywise
 
     def add(self, a: Node, b: Node) -> Node:
         fold = self._folder("add", a, b)
-        out = self._record(a.value + b.value, (a, b))
-        out.backward_rule = lambda g: (g, fold(g))
-        return out
+        return self._record(a.value + b.value, (a, b), lambda g: (g, fold(g)))
 
     def mul(self, a: Node, b: Node) -> Node:
         fold = self._folder("mul", a, b)
-        out = self._record(a.value * b.value, (a, b))
-        out.backward_rule = lambda g: (g * b.value, fold(g * a.value))
-        return out
+        return self._record(
+            a.value * b.value, (a, b), lambda g: (g * b.value, fold(g * a.value))
+        )
 
     def div(self, a: Node, b: Node) -> Node:
         fold = self._folder("div", a, b)
         if np.any(b.value == 0.0):
             raise ValueError("div: zero entry in denominator")
-        out = self._record(a.value / b.value, (a, b))
-        out.backward_rule = lambda g: (g / b.value, fold(-g * a.value / (b.value**2)))
-        return out
+        return self._record(
+            a.value / b.value, (a, b),
+            lambda g: (g / b.value, fold(-g * a.value / (b.value**2))),
+        )
 
     def neg(self, x: Node) -> Node:
-        out = self._record(-x.value, (x,))
-        out.backward_rule = lambda g: (-g,)
-        return out
+        return self._record(-x.value, (x,), lambda g: (-g,))
 
     def scale(self, x: Node, c: float) -> Node:
         c = float(c)
-        out = self._record(x.value * c, (x,))
-        out.backward_rule = lambda g: (g * c,)
-        return out
+        return self._record(x.value * c, (x,), lambda g: (g * c,))
 
     def sigmoid(self, x: Node) -> Node:
         # tanh form is overflow-free for large |x|
         y = 0.5 * (1.0 + np.tanh(0.5 * x.value))
-        out = self._record(y, (x,))
-        out.backward_rule = lambda g: (g * y * (1.0 - y),)
-        return out
+        return self._record(y, (x,), lambda g: (g * y * (1.0 - y),))
 
     def tanh(self, x: Node) -> Node:
         y = np.tanh(x.value)
-        out = self._record(y, (x,))
-        out.backward_rule = lambda g: (g * (1.0 - y * y),)
-        return out
+
+        def rule(g):
+            # g * (1 - y^2) in one temporary
+            d = y * y
+            np.subtract(1.0, d, out=d)
+            d *= g
+            return (d,)
+
+        return self._record(y, (x,), rule)
 
     def leaky_relu(self, x: Node, slope: float = 0.2) -> Node:
         y = np.where(x.value > 0, x.value, slope * x.value)
-        out = self._record(y, (x,))
-        out.backward_rule = lambda g: (g * np.where(x.value > 0, 1.0, slope),)
-        return out
+        return self._record(y, (x,), lambda g: (g * np.where(x.value > 0, 1.0, slope),))
 
     def log(self, x: Node) -> Node:
         if np.any(x.value <= 0.0):
             raise ValueError("log: non-positive operand entry")
-        out = self._record(np.log(x.value), (x,))
-        out.backward_rule = lambda g: (g / x.value,)
-        return out
+        return self._record(np.log(x.value), (x,), lambda g: (g / x.value,))
 
     def exp(self, x: Node) -> Node:
         y = np.exp(x.value)
-        out = self._record(y, (x,))
-        out.backward_rule = lambda g: (g * y,)
-        return out
+        return self._record(y, (x,), lambda g: (g * y,))
 
     def sqrt(self, x: Node) -> Node:
         if np.any(x.value <= 0.0):
             raise ValueError("sqrt: non-positive operand entry")
         y = np.sqrt(x.value)
-        out = self._record(y, (x,))
-        out.backward_rule = lambda g: (g * 0.5 / y,)
-        return out
+        return self._record(y, (x,), lambda g: (g * 0.5 / y,))
 
     def softplus(self, x: Node) -> Node:
         """log(1 + exp(x)), overflow-free; gradient is sigmoid(x)."""
         v = x.value
         y = np.maximum(v, 0.0) + np.log1p(np.exp(-np.abs(v)))
-        out = self._record(y, (x,))
-        out.backward_rule = lambda g: (g * 0.5 * (1.0 + np.tanh(0.5 * v)),)
-        return out
+        return self._record(y, (x,), lambda g: (g * 0.5 * (1.0 + np.tanh(0.5 * v)),))
 
     # ----------------------------------------------------------- row softmax
 
@@ -324,14 +359,12 @@ class Tape:
         shifted = x.value - x.value.max(axis=1, keepdims=True)
         e = np.exp(shifted)
         y = e / e.sum(axis=1, keepdims=True)
-        out = self._record(y, (x,))
 
         def rule(g):
             dot = (g * y).sum(axis=1, keepdims=True)
             return (y * (g - dot),)
 
-        out.backward_rule = rule
-        return out
+        return self._record(y, (x,), rule)
 
     def vote_nll(self, logits: Node, labels, m: int) -> Node:
         """Mean over graphs of ``-log(mean_i softmax(z_i)[y])``, in log space.
@@ -349,15 +382,13 @@ class Tape:
         share = np.exp(picked - top)
         total = share.sum(axis=1, keepdims=True)
         loss = (top + np.log(total) - np.log(m)).sum() * (-1.0 / b)
-        out = self._record(np.array([[loss]]), (logits,))
 
         def rule(g):
             grad = np.exp(log_probs)
             grad[np.arange(b * m), y] -= 1.0
             return (grad * ((share / total).reshape(-1, 1) * (g[0, 0] / b)),)
 
-        out.backward_rule = rule
-        return out
+        return self._record(np.array([[loss]]), (logits,), rule)
 
     # -------------------------------------------------------------- dropout
 
@@ -369,9 +400,7 @@ class Tape:
             return x
         keep = 1.0 - rate
         mask = (rng.random(x.value.shape) < keep) / keep
-        out = self._record(x.value * mask, (x,))
-        out.backward_rule = lambda g: (g * mask,)
-        return out
+        return self._record(x.value * mask, (x,), lambda g: (g * mask,))
 
     # -------------------------------------------------------------- backward
 
@@ -381,6 +410,11 @@ class Tape:
         Parameters not reachable from the loss get an exact zero gradient.
         Returns {param_node: gradient}, a view of each node's ``grad``.
         """
+        if not self.record:
+            raise ValueError(
+                "backward needs a recording tape; this one was made with "
+                "record=False and kept nothing for backward"
+            )
         if loss.value.shape != (1, 1):
             raise ValueError(
                 f"backward needs a scalar (1x1) loss, got shape {loss.value.shape}"

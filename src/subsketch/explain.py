@@ -1,8 +1,9 @@
 """Per-graph inspection: which subgraphs the model selected and why.
 
 ``explain_graph`` replays one graph through the trained pipeline in
-evaluation mode and gathers projection scores, gates, attention weights,
-and per-subgraph class votes.  The result renders two ways: a DOT file
+evaluation mode, on a forward-only tape that records nothing for backward,
+and gathers projection scores, gates, attention weights, and per-subgraph
+class votes.  The result renders two ways: a DOT file
 (selected subgraphs as clusters, node fill color by label category, node
 size growing with intra-subgraph attention weight over a small legibility
 floor, omitted nodes grey) and a JSON file with the raw numbers.
@@ -33,7 +34,7 @@ def explain_graph(
     model: ModelParams, config: TrainConfig, graph: Graph, k: float
 ) -> dict:
     tensors = precompute_tensors(graph, config.n, config.s)
-    tape = Tape(training=False)
+    tape = Tape(training=False, record=False)
     bound = bind_model(model, tape)
     result = batch_forward(
         bound, [tensors], [graph.label], k, config, tape, compute_loss=False

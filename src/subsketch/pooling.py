@@ -31,10 +31,8 @@ def selection_count(k: float, n: int) -> int:
 
 def rank_topk(values: np.ndarray, k: float) -> list[int]:
     """Indices of the ``ceil(k*n)`` largest values, ties by ascending index."""
-    n = len(values)
-    count = selection_count(k, n)
-    order = np.argsort(-np.asarray(values), kind="stable")
-    return [int(i) for i in order[:count]]
+    count = selection_count(k, len(values))
+    return (-values).argsort(kind="stable")[:count].tolist()
 
 
 def compute_reward(acc_now: float, acc_prev: float) -> int:

@@ -136,6 +136,6 @@ def build_sketched_graph(
     if not idx:
         raise ValueError("cannot build a sketched graph from no supernodes")
     sel = np.asarray(idx, dtype=np.intp)
-    linked = subgraph_set.overlap[sel[:, None], sel] > b_com  # overlap[idx][:, idx]
-    np.fill_diagonal(linked, False)
+    linked = subgraph_set.overlap.take(sel, axis=0).take(sel, axis=1) > b_com
+    linked.flat[:: len(sel) + 1] = False
     return SketchedGraph(supernodes=tuple(idx), adjacency=linked.astype(np.float64))

@@ -29,8 +29,9 @@ def attention_mask(sk: SketchedGraph) -> np.ndarray:
 
     The diagonal keeps attention well-defined for isolated supernodes.
     """
-    allowed = sk.adjacency + np.eye(len(sk.supernodes))
-    return np.where(allowed > 0, 0.0, MASK_OFF)
+    mask = np.where(sk.adjacency > 0, 0.0, MASK_OFF)
+    mask.flat[:: len(mask) + 1] = 0.0
+    return mask
 
 
 def inter_attention_with_mask(
@@ -54,7 +55,6 @@ def inter_attention_with_mask(
         )
     graphs = rows // m
     mask = tape.constant(additive_mask, name="sketch_mask")
-    graph_of_row = np.repeat(np.arange(graphs), m)
     head_outputs = []
     coefficients = []
     for w, a in heads:
@@ -65,7 +65,7 @@ def inter_attention_with_mask(
         # e_ij = leaky_relu(src_i + dst_j): each graph's dst row is repeated
         # for that graph's M rows, and the src column across the M columns.
         logits = tape.leaky_relu(
-            tape.add(tape.take_rows(tape.reshape(dst, graphs, m), graph_of_row), src)
+            tape.add(tape.repeat_rows(tape.reshape(dst, graphs, m), m), src)
         )
         alpha = tape.softmax_rows(tape.add(logits, mask))
         coefficients.append(alpha)

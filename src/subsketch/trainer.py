@@ -15,6 +15,11 @@ cross-graph pairs.  Top-k ranking and sketched-graph construction run per
 graph on plain numpy values between tape ops.  The vote cross-entropy is one
 log-space tape op on the subgraph logits (``Tape.vote_nll``).
 
+A training step records its forward on a ``Tape`` and runs backward on it.
+:func:`evaluate_accuracy` runs the same forward, dropout off, on a
+forward-only ``Tape(training=False, record=False)`` that keeps nothing for
+backward, so each batch's intermediates are freed as the forward goes.
+
 Variants:
     full        adaptive k, negatives from the previous graph in the batch
     fixed_k     agent frozen at k0, same objective as full
@@ -285,8 +290,7 @@ def _run_pipeline(
     values = tape.div(raw, norm)
 
     # Per-graph top-k on the numeric scores; every graph keeps the same M.
-    flat = values.value[:, 0]
-    local = [rank_topk(flat[b * n : (b + 1) * n], k) for b in range(batch)]
+    local = [rank_topk(row, k) for row in values.value.reshape(batch, n)]
     sketches = [
         build_sketched_graph(t.subgraph_set, sel, config.b_com)
         for t, sel in zip(tensors, local)
@@ -364,8 +368,7 @@ def batch_forward(
         # dot with its graph's summary row.  The corrupted pass keeps the
         # same count M, so both kinds of negative share the row -> graph map.
         summary = tape.matmul(readouts, tape.transpose(bound["sketch.w_mi"]))
-        graph_of_row = np.repeat(np.arange(batch), kept)
-        own = tape.take_rows(summary, graph_of_row)
+        own = tape.repeat_rows(summary, kept)
         pos = tape.rowdot(state.z_primes, own)
         if config.variant != "mi_corrupt":
             if len(tensors) < 2:
@@ -374,7 +377,7 @@ def batch_forward(
                 )
             # Graph b's supernodes meet the previous graph's summary, and
             # graph 0's meet the last graph's.
-            previous = tape.take_rows(summary, (graph_of_row - 1) % batch)
+            previous = tape.repeat_rows(summary, kept, shift=1)
             neg = tape.rowdot(state.z_primes, previous)
         else:  # mi_corrupt: re-run the pipeline on shuffled features
             # One shuffle per graph, shared by all its subgraphs, so that
@@ -434,7 +437,7 @@ def evaluate_accuracy(
         chunk = graph_ids[start : start + config.batch_size]
         chunk_tensors = [tensors[i] for i in chunk]
         labels = [tensors[i].graph.label for i in chunk]
-        tape = Tape(training=False)
+        tape = Tape(training=False, record=False)
         bound = bind_model(model, tape)
         result = batch_forward(
             bound, chunk_tensors, labels, k, config, tape, compute_loss=False

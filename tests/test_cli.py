@@ -21,7 +21,7 @@ from subsketch.cli import (
     parse_config_file,
     resolve_settings,
 )
-from subsketch.dataset import write_tu_dataset
+from subsketch.dataset import make_folds, parse_tu_dataset, write_tu_dataset
 from subsketch.errors import ConfigError
 from subsketch.persist import load_model
 from subsketch.trainer import VARIANTS
@@ -397,6 +397,38 @@ def test_invalid_flag_value_exits_with_two(workspace, capsys):
     args = _train_args(workspace, "out_badk", extra=["--k0", "1.5"])
     assert main(args) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _relabelled_copy(root, tmp_path, suffix):
+    """The SYN files with the first line of ``SYN_<suffix>`` set to 40, a
+    node category or class the trained model has never seen."""
+    data = tmp_path / "data"
+    shutil.copytree(root / "data" / "SYN", data / "SYN")
+    path = data / "SYN" / f"SYN_{suffix}"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(["40", *lines[1:]]) + "\n")
+    return data
+
+
+@pytest.mark.parametrize(
+    "suffix, what",
+    [("node_labels.txt", "node categories"), ("graph_labels.txt", "classes")],
+)
+@pytest.mark.parametrize("command", ["evaluate", "explain"])
+def test_dataset_the_saved_model_cannot_score_exits_two(
+    trained, tmp_path, capsys, suffix, what, command
+):
+    root, out = trained
+    data = _relabelled_copy(root, tmp_path, suffix)
+    # Graph 0 carries the new label: explain it, and evaluate its fold.
+    graphs = parse_tu_dataset(str(root / "data" / "SYN"), "SYN")
+    fold = make_folds(graphs, load_model(str(out))[1].seed, 10).assignments[0]
+    target = str(fold) if command == "evaluate" else "0"
+    args = [command, target, "--dataset", "SYN"]
+    assert main([*args, "--data-dir", str(data), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert what in err
+    assert str(data / "SYN") in err and str(out / "model.manifest.json") in err
 
 
 # --- ablate -------------------------------------------------------------

@@ -167,7 +167,7 @@ def test_backward_accumulates_over_reuse():
 
 def _loss_for(op_name, t, inputs, extras):
     x = [t.param(a) for a in inputs]
-    if op_name == "matmul":
+    if op_name in ("matmul", "matmul_col"):
         y = t.matmul(x[0], x[1])
     elif op_name == "add":
         y = t.add(x[0], x[1])
@@ -203,6 +203,12 @@ def _loss_for(op_name, t, inputs, extras):
         y = t.sum(x[0])
     elif op_name == "take_rows":
         y = t.take_rows(x[0], extras["idx"])
+    elif op_name == "take_rows_range":
+        y = t.take_rows(x[0], range(1, 3))
+    elif op_name == "repeat_rows":
+        y = t.repeat_rows(x[0], 2)
+    elif op_name == "repeat_rows_shift":
+        y = t.repeat_rows(x[0], 2, shift=1)
     elif op_name == "block_diag_matmul":
         y = t.block_diag_matmul(extras["blocks"], x[0])
     elif op_name == "block_diag_matmul_node":
@@ -228,6 +234,8 @@ def _loss_for(op_name, t, inputs, extras):
 def _inputs_for(op_name, rng):
     if op_name == "matmul":
         return [rand(rng, 4, 5), rand(rng, 5, 3)]
+    if op_name == "matmul_col":
+        return [rand(rng, 4, 5), rand(rng, 5, 1)]
     if op_name in ("add", "mul", "rowblock_weighted_sum"):
         if op_name == "rowblock_weighted_sum":
             return [rand(rng, 3, 2), rand(rng, 6, 4)]
@@ -260,7 +268,8 @@ DIFFERENTIABLE_OPS = [
     "transpose", "reshape", "sum", "take_rows", "block_diag_matmul",
     "block_diag_matmul_node", "rowblock_weighted_sum", "dropout", "rowdot",
     "l2_penalty", "add_row", "add_col", "mul_row", "mul_col", "div_row",
-    "div_col", "vote_nll",
+    "div_col", "vote_nll", "matmul_col", "take_rows_range", "repeat_rows",
+    "repeat_rows_shift",
 ]
 
 
@@ -446,7 +455,7 @@ def test_vote_nll_rejects_rows_that_do_not_fit_the_graphs():
 # ---------------------------------------------------------------- misc
 
 
-@pytest.mark.parametrize("idx", [[2, 0, 2, 2, 1, 2], [4, 4], []])
+@pytest.mark.parametrize("idx", [[2, 0, 2, 2, 1, 2], [4, 4], [], range(1, 4), range(5)])
 def test_take_rows_backward_matches_add_at_bit_for_bit(idx):
     # Duplicates sum in index order; rows never picked get exact zeros.
     rng = np.random.default_rng(len(idx))
@@ -458,6 +467,42 @@ def test_take_rows_backward_matches_add_at_bit_for_bit(idx):
     want = np.zeros((5, 3))
     np.add.at(want, np.asarray(idx, dtype=np.intp), g)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "rows, reps, cols, shift",
+    [(4, 3, 5, 0), (4, 3, 5, 1), (3, 1, 2, 1), (1, 9, 2, 1), (32, 15, 15, 0),
+     (32, 15, 96, 1), (32, 30, 2, 1), (2, 16, 1, 1)],
+)
+def test_repeat_rows_matches_gather_and_add_at(rows, reps, cols, shift):
+    # Each run's rows add in order, as a scatter-add of the same indices;
+    # only one-column inputs may round differently (pairwise summation).
+    rng = np.random.default_rng(rows * reps + cols)
+    t = Tape()
+    x = t.param(rng.standard_normal((rows, cols)))
+    y = t.repeat_rows(x, reps, shift)
+    idx = (np.repeat(np.arange(rows), reps) - shift) % rows
+    assert y.value.tobytes() == x.value[idx].tobytes()
+    g = rng.standard_normal(y.shape) * 10.0 ** rng.integers(-8, 8, size=y.shape)
+    got = t.backward(t.sum(t.mul(y, t.constant(g))))[x]
+    want = np.zeros((rows, cols))
+    np.add.at(want, idx, g)
+    if cols > 1:
+        assert got.tobytes() == want.tobytes()
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_one_column_matmul_and_tanh_backward_match_their_formulas_bit_for_bit():
+    rng = np.random.default_rng(12)
+    t = Tape()
+    a, b = t.param(rand(rng, 7, 5)), t.param(rand(rng, 5, 1))
+    y = t.tanh(t.matmul(a, b))
+    g = rand(rng, 7, 1)
+    grads = t.backward(t.sum(t.mul(y, t.constant(g))))
+    gz = g * (1.0 - y.value * y.value)
+    assert grads[a].tobytes() == (gz @ b.value.T).tobytes()
+    assert grads[b].tobytes() == (a.value.T @ gz).tobytes()
 
 
 def test_tape_determinism():

@@ -3,7 +3,8 @@ import pytest
 
 from subsketch.diffcore import MASK_OFF, Tape
 from subsketch.errors import ConfigError
-from subsketch.sampler import SketchedGraph
+from subsketch.pooling import rank_topk, selection_count
+from subsketch.sampler import SketchedGraph, build_sketched_graph, sample_subgraphs
 from subsketch.sketch_mi import attention_mask, corrupt, inter_attention_with_mask, mi_loss
 from subsketch.trainer import TrainConfig, bind_model, init_model
 
@@ -172,6 +173,27 @@ def test_batched_coefficients_stay_inside_each_graph():
     np.testing.assert_allclose(alpha[:3], np.eye(3), atol=1e-15)  # no sketch edges
     np.testing.assert_allclose(alpha.sum(axis=1), np.ones(6), atol=1e-12)
     assert np.all(alpha[3:] > 0.0)
+
+
+@pytest.mark.parametrize("b_com", [0, 1, 2])
+@pytest.mark.parametrize("num_nodes", [4, 6, 9, 14])
+def test_selection_helpers_match_the_formulas_they_replaced(b_com, num_nodes):
+    rng = np.random.default_rng(500 + num_nodes)
+    graph = random_graph(rng, num_nodes, edge_prob=0.4)
+    ss = sample_subgraphs(graph, n=8, s=4)  # below 8 nodes, node sets repeat
+    values = np.round(rng.standard_normal(8), 1)
+    values[[2, 5]] = values[0]  # a three-way tie
+    for k in (0.1, 0.5, 0.75, 1.0):  # k = 0.1 keeps M = 1
+        idx = rank_topk(values, k)
+        want = np.argsort(-values, kind="stable")[: selection_count(k, 8)]
+        assert idx == [int(i) for i in want] and all(type(i) is int for i in idx)
+        linked = ss.overlap[np.ix_(want, want)] > b_com
+        np.fill_diagonal(linked, False)
+        sk = build_sketched_graph(ss, idx, b_com)
+        assert sk.adjacency.tobytes() == linked.astype(np.float64).tobytes()
+        allowed = sk.adjacency + np.eye(len(idx))
+        want_mask = np.where(allowed > 0, 0.0, MASK_OFF)
+        assert attention_mask(sk).tobytes() == want_mask.tobytes()
 
 
 def test_mask_must_tile_the_embeddings():

@@ -7,7 +7,9 @@ from subsketch.encoder import subgraph_features
 from subsketch.errors import ConfigError, TrainingDiverged
 from subsketch.sampler import build_sketched_graph
 from subsketch.sketch_mi import mi_loss
+from subsketch.explain import explain_graph
 from subsketch.trainer import (
+    VARIANTS,
     ModelParams,
     TrainConfig,
     batch_forward,
@@ -430,6 +432,82 @@ def test_training_step_tape_size_is_pinned(dataset, variant):
     )
     tape.backward(result.loss)
     assert len(tape.nodes) == STEP_TAPE_NODES[variant]
+
+
+def _eval_forward(graphs, config, k, record):
+    tensors = [precompute_tensors(g, config.n, config.s) for g in graphs]
+    model = init_model(np.random.default_rng(11), 4, 2, config)
+    tape = Tape(training=False, record=record)
+    bound = bind_model(model, tape)
+    result = batch_forward(
+        bound, tensors, [g.label for g in graphs], k, config, tape, compute_loss=False
+    )
+    return tape, bound, result
+
+
+def _eval_graphs(dataset):
+    # A 5-node graph wraps the root ranking at n = 6, so node sets repeat.
+    small = random_graph(np.random.default_rng(40), 5, 0.5, index=40, label=1)
+    return dataset[:6] + [small]
+
+
+@pytest.mark.parametrize("k", [0.5, 0.75])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_forward_only_tape_gives_the_recording_tapes_bits(dataset, variant, k):
+    config = tiny_config(variant=variant, n=6, s=4)  # dropout on, but not training
+    graphs = _eval_graphs(dataset)
+    _, _, want = _eval_forward(graphs, config, k, record=True)
+    _, _, got = _eval_forward(graphs, config, k, record=False)
+
+    def arrays(r):
+        return {
+            "graph_dists": r.graph_dists.value, "sub_dists": r.sub_dists.value,
+            "values": r.state.values.value, "gates": r.state.gates.value,
+            "intra_weights": r.state.intra_weights.value, "selected": r.state.selected,
+        }
+
+    for (name, g), w in zip(arrays(got).items(), arrays(want).values()):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
+    assert got.correct == want.correct
+
+
+def test_forward_only_tape_keeps_nothing_for_backward(dataset):
+    config = tiny_config(n=6, s=4)
+    tape, bound, result = _eval_forward(_eval_graphs(dataset), config, 0.5, record=False)
+    assert tape.nodes == [] and tape.params == []
+    state = result.state
+    returned = [
+        *bound.values(), result.graph_dists, result.sub_dists, result.readouts,
+        state.values, state.intra_weights, state.gates, state.z_primes,
+    ]
+    assert all(node.parents == () and node.backward_rule is None for node in returned)
+    x = tape.constant(np.ones((2, 3)))
+    assert tape.dropout(x, 0.5, np.random.default_rng(0)) is x
+    with pytest.raises(ValueError, match="record=False"):
+        tape.backward(tape.sum(x))
+
+
+@pytest.mark.parametrize("call", ["evaluate_accuracy", "explain_graph"])
+def test_evaluation_records_nothing_for_backward(dataset, monkeypatch, call):
+    config = tiny_config(n=6, s=4)
+    graphs = dataset[:12]
+    model = init_model(np.random.default_rng(2), 4, 2, config)
+    seen = []
+    record = Tape._record
+
+    def spying(tape, *args, **kwargs):
+        node = record(tape, *args, **kwargs)
+        seen.append((len(tape.nodes), len(tape.params), node.parents, node.backward_rule))
+        return node
+
+    monkeypatch.setattr(Tape, "_record", spying)
+    if call == "evaluate_accuracy":
+        tensors = {g.index: precompute_tensors(g, config.n, config.s) for g in graphs}
+        evaluate_accuracy(model, tensors, [g.index for g in graphs], 0.5, config)
+    else:
+        explain_graph(model, config, graphs[0], 0.5)
+    assert seen
+    assert all(entry == (0, 0, (), None) for entry in seen)
 
 
 @pytest.mark.parametrize("seed", range(12))
