@@ -24,6 +24,13 @@ Each file is read in bulk with numpy.  A file the bulk reader rejects, or
 whose values fail a check, is read again line by line, which accepts a
 little more (space-separated rows, for one) and reports a malformed line
 as ``file:line``.
+
+The edge file is by far the largest, and the parser holds one narrow copy
+of it: rows are read as int32 while node ids fit, ids become positions in
+place, each undirected edge becomes one int64 key, and one in-place sort of
+the keys drops self-loops and duplicates.  Each large intermediate is freed
+before the next is made; on a DD-sized file the traced peak is about 22
+bytes per edge row, the parsed graphs included.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ import numpy as np
 from .errors import ConfigError, DatasetFormatError
 
 _INT64 = np.iinfo(np.int64)
+_BLOCK = 1 << 16  # rows per in-place gather of edge ids
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,19 +144,20 @@ def _read_column(path: str, what: str) -> list[tuple[int, int]]:
     return out
 
 
-def _load_ints(path: str, width: int) -> np.ndarray | None:
-    """All rows of ``path`` as a (rows, width) int64 array, or None where the
-    bulk reader rejects the file.
+def _load_ints(path: str, width: int, dtype=np.int64) -> np.ndarray | None:
+    """All rows of ``path`` as a (rows, width) array of ``dtype``, or None
+    where the bulk reader rejects the file.
 
     It takes comma-separated decimal integers and skips empty lines: a subset
     of what :func:`_read_rows` parses, giving the same rows and values.  An
-    empty file (numpy warns) is left to the line reader too.
+    empty file (numpy warns), or a value that overflows ``dtype``, is left to
+    the line reader too.
     """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rows = np.loadtxt(
-                path, dtype=np.int64, delimiter=",", ndmin=2, comments=None,
+                path, dtype=dtype, delimiter=",", ndmin=2, comments=None,
                 encoding="ascii",
             )
     except (ValueError, Warning):
@@ -166,7 +175,7 @@ def _column(path: str, what: str) -> np.ndarray:
 def _graph_ids(path: str) -> np.ndarray:
     """0-based graph id of every node, in file order; ids must be positive."""
     rows = _load_ints(path, 1)
-    if rows is not None and np.all(rows >= 1):
+    if rows is not None and rows.min() >= 1:
         return rows[:, 0] - 1
     ids = _read_column(path, "graph id")
     for lineno, gid in ids:
@@ -178,13 +187,16 @@ def _graph_ids(path: str) -> np.ndarray:
 
 
 def _edge_pairs(path: str, graph_of_node: np.ndarray) -> np.ndarray:
-    """0-based (u, v) rows of the edge file, each inside one graph."""
+    """0-based (u, v) rows of the edge file, each inside one graph.  The bulk
+    read gives int32 rows when every node id fits, the line reader int64."""
     num_nodes = len(graph_of_node)
-    rows = _load_ints(path, 2)
-    if rows is not None and np.all((rows >= 1) & (rows <= num_nodes)):
-        pairs = rows - 1
-        if np.array_equal(graph_of_node[pairs[:, 0]], graph_of_node[pairs[:, 1]]):
-            return pairs
+    dtype = np.int32 if num_nodes <= np.iinfo(np.int32).max else np.int64
+    rows = _load_ints(path, 2, dtype)
+    if rows is not None and rows.min() >= 1 and rows.max() <= num_nodes:
+        rows -= 1
+        graph = graph_of_node.astype(dtype)
+        if np.array_equal(graph[rows[:, 0]], graph[rows[:, 1]]):
+            return rows
     pairs = []
     for lineno, values in _read_rows(path):
         where = f"{os.path.basename(path)}:{lineno}"
@@ -204,18 +216,28 @@ def _edge_pairs(path: str, graph_of_node: np.ndarray) -> np.ndarray:
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
+def _take_in_place(table: np.ndarray, rows: np.ndarray) -> None:
+    """``rows[...] = table[rows]``, a block of rows at a time: ``np.take``
+    copies its indices as intp.  The indices must be in range; mode "clip"
+    spares the copy of ``out`` that "raise" makes."""
+    for at in range(0, len(rows), _BLOCK):
+        block = rows[at : at + _BLOCK]
+        np.take(table, block, out=block, mode="clip")
+
+
 def _distinct(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct values, by a sort and a neighbour compare.  With numpy
-    2.4 this took 0.02 s on 1.4M int64 edge keys, ``np.unique`` 1.5 s."""
-    ordered = np.sort(values)
-    keep = np.ones(len(ordered), dtype=bool)
-    keep[1:] = ordered[1:] != ordered[:-1]
-    return ordered[keep]
+    """Sorted distinct values, by an in-place sort of ``values`` and a
+    neighbour compare.  With numpy 2.4 this took 0.02 s on 1.4M int64 edge
+    keys, ``np.unique`` 1.5 s."""
+    values.sort()
+    keep = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def _categories(values: np.ndarray) -> np.ndarray:
     """Each value's rank among the distinct values: contiguous 0-based ids."""
-    return np.searchsorted(_distinct(values), values)
+    return np.searchsorted(_distinct(values.copy()), values)
 
 
 def _require(dir_path: str, filename: str) -> str:
@@ -254,17 +276,34 @@ def parse_tu_dataset(dir_path: str, name: str) -> list[Graph]:
     # graph by graph; a node's position in it is its graph's start plus its
     # local id, and positions rise with local ids inside a graph.
     order = np.argsort(graph_of_node, kind="stable")
-    position = np.empty(num_nodes, dtype=np.int64)
-    position[order] = np.arange(num_nodes)
     node_ends = np.cumsum(counts)
     starts = node_ends - counts
 
-    u, v = position[_edge_pairs(a_path, graph_of_node)].T
-    u, v = u[u != v], v[u != v]  # drop self-loops; the encoder adds its own
+    # From here on the edge rows exist once, in place, and each large
+    # intermediate is freed before the next is made.
+    rows = _edge_pairs(a_path, graph_of_node)
+    position = np.empty(num_nodes, dtype=rows.dtype)
+    position[order] = np.arange(num_nodes)
+    _take_in_place(position, rows)
+    del position
     # One key per undirected edge, ordered by (graph, lo, hi) since
-    # positions are grouped by graph; duplicates become neighbours.
-    keys = _distinct(np.minimum(u, v) * num_nodes + np.maximum(u, v))
-    lo, hi = np.divmod(keys, num_nodes)
+    # positions are grouped by graph; duplicates become neighbours, and
+    # self-loops are keyed -1 and dropped (the encoder adds its own).
+    u, v = rows.T
+    loops = u == v
+    keys = np.minimum(u, v, out=np.empty(len(rows), dtype=np.int64))
+    keys *= num_nodes
+    keys += np.maximum(u, v, out=u)
+    keys[loops] = -1
+    del rows, u, v, loops
+    keys = _distinct(keys)
+    if len(keys) and keys[0] == -1:
+        keys = keys[1:]
+    # Keys rise by graph, so each graph's edges are one run of sorted rows.
+    edge_ends = np.searchsorted(keys, node_ends * num_nodes)
+    edges = np.empty((len(keys), 2), dtype=np.intp)
+    np.divmod(keys, num_nodes, out=(edges[:, 0], edges[:, 1]))
+    del keys
 
     if os.path.isfile(node_lab_path):
         node_values = _column(node_lab_path, "node label")
@@ -275,13 +314,10 @@ def parse_tu_dataset(dir_path: str, name: str) -> list[Graph]:
         node_values = node_values[order]
     else:
         # Degree fallback: one category per distinct degree value.
-        node_values = np.bincount(lo, minlength=num_nodes) + np.bincount(hi, minlength=num_nodes)
+        node_values = np.bincount(edges.ravel(), minlength=num_nodes)
     cats = _categories(node_values)
 
-    # Keys rise by graph, so each graph's edges are one run of sorted rows.
-    edge_graph = graph_of_node[order][lo]
-    edges = np.stack([lo, hi], axis=1) - starts[edge_graph, None]
-    edge_ends = np.cumsum(np.bincount(edge_graph, minlength=num_graphs))
+    edges -= np.repeat(starts, np.diff(edge_ends, prepend=0))[:, None]
     pieces = zip(np.split(edges, edge_ends[:-1]), np.split(cats, node_ends[:-1]))
     return [
         Graph(index=g, label=labels[g], edges=e, node_labels=tuple(c.tolist()))

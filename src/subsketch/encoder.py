@@ -8,9 +8,10 @@ zero.  A learned attention then scores each node, softmaxes over the real
 nodes, and returns the weighted sum as the subgraph embedding.
 
 This module builds the constants a graph's :class:`~.sampler.SubgraphSet`
-contributes, all n subgraphs at once: the (n, s, s) propagation matrices and
-the (n*s,) padded node categories.  The trainer runs the layers and the
-attention for every subgraph of a batch at once on the tape.
+contributes, all n subgraphs at once: the (n, s, s) float64 propagation
+matrices, from the set's one-byte bool adjacency, and the (n*s,) padded node
+categories.  The trainer runs the layers and the attention for every
+subgraph of a batch at once on the tape.
 """
 
 from __future__ import annotations
@@ -28,9 +29,10 @@ def glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 def propagation_matrix(adjacency: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Constant ``D^{-1/2} (A + I) D^{-1/2}`` of padded subgraphs.
 
-    ``adjacency`` is (..., s, s) and ``mask`` (..., s) with any leading
-    shape.  Self-loops are added on real rows only, so padded rows and
-    columns of the result are zero and padded node states never mix in.
+    ``adjacency`` is (..., s, s), bool as sampled or 0/1 floats (both give
+    the same float64 bits), and ``mask`` (..., s) with any leading shape.
+    Self-loops are added on real rows only, so padded rows and columns of
+    the result are zero and padded node states never mix in.
     """
     a_tilde = adjacency + mask[..., None] * np.eye(mask.shape[-1])
     degree = a_tilde.sum(axis=-1)

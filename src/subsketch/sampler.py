@@ -4,16 +4,18 @@ Each graph contributes exactly ``n`` subgraphs of at most ``s`` nodes.  The
 ``n`` highest-degree nodes act as BFS roots (degree ties broken by ascending
 node id; graphs with fewer than ``n`` nodes wrap around the ranking so
 shapes stay fixed).  BFS visits neighbors in ascending id order and stops
-after ``s`` nodes; smaller components are padded out and masked.  One sort
-of the graph's directed edge keys ``u * num_nodes + v`` gives all of it:
-the CSR adjacency the BFS walks, the degrees that rank the roots, and the
-table that induced adjacency is looked up in.
+after ``s`` nodes; smaller components are padded out and masked.  One
+bincount of the edge ends gives the degrees that rank the roots and the CSR
+row offsets; one sort of the directed edge keys ``u * (num_nodes + 1) + v``
+gives the CSR neighbours the BFS walks and the table that induced adjacency
+is looked up in.  One Python loop runs the BFS from every root.
 
 A graph's subgraphs are one :class:`SubgraphSet` of fixed-shape arrays:
 ``nodes`` (n, s) holds the node ids in BFS order (column 0 is the root, pads
 hold 0), ``mask`` (n, s) marks the real entries, ``adjacency`` (n, s, s) is
-each subgraph's induced 0/1 adjacency (pad rows and columns zero, no
-self-loops) and ``overlap`` (n, n) counts the real nodes two subgraphs share.
+each subgraph's induced adjacency as bool, one byte per entry (pad rows and
+columns False, no self-loops), and ``overlap`` (n, n) counts the real nodes
+two subgraphs share.
 
 The sketched graph treats selected subgraphs as supernodes and connects two
 of them when they share strictly more than ``b_com`` original nodes.  The
@@ -24,7 +26,6 @@ building a sketch on each training step only indexes them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .dataset import Graph
 class SubgraphSet:
     nodes: np.ndarray  # (n, s) intp node ids, BFS order; pads hold 0
     mask: np.ndarray  # (n, s) bool, True marks real entries
-    adjacency: np.ndarray  # (n, s, s) float64 induced adjacency, pads zero
+    adjacency: np.ndarray  # (n, s, s) bool induced adjacency, pads False
     overlap: np.ndarray  # (n, n) int16 real nodes shared by subgraphs i and j
 
     @property
@@ -43,22 +44,29 @@ class SubgraphSet:
         return self.nodes.shape[0]
 
 
-def _bfs_truncated(indptr: list[int], dst: list[int], root: int, limit: int) -> list[int]:
-    """Breadth-first order from root, at most ``limit`` nodes, over CSR rows
-    ``dst[indptr[u]:indptr[u + 1]]`` (ascending); ``order`` is the queue."""
-    order = [root]
-    seen = {root}
-    head = 0
-    while head < len(order) < limit:
-        u = order[head]
-        head += 1
-        for w in dst[indptr[u] : indptr[u + 1]]:
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-                if len(order) == limit:
-                    return order
-    return order
+def _bfs_rows(
+    indptr: list[int], dst: list[int], roots: list[int], limit: int, pad: int
+) -> list[int]:
+    """Breadth-first orders from each root, at most ``limit`` nodes each, over
+    CSR rows ``dst[indptr[u]:indptr[u + 1]]`` (ascending), each padded to
+    ``limit`` entries with ``pad`` and laid end to end."""
+    rows = []
+    for root in roots:
+        order = [root]
+        seen = {root}
+        head = 0  # ``order`` is the queue
+        while head < len(order) < limit:
+            u = order[head]
+            head += 1
+            for w in dst[indptr[u] : indptr[u + 1]]:
+                if w not in seen:
+                    seen.add(w)
+                    order.append(w)
+                    if len(order) == limit:
+                        break
+        rows += order
+        rows += [pad] * (limit - len(order))
+    return rows
 
 
 def sample_subgraphs(graph: Graph, n: int, s: int) -> SubgraphSet:
@@ -68,33 +76,32 @@ def sample_subgraphs(graph: Graph, n: int, s: int) -> SubgraphSet:
     size = graph.num_nodes
     if size == 0:
         raise ValueError(f"cannot sample subgraphs from empty graph {graph.index}")
-    # The graph's directed edge keys u * size + v, sorted, are its CSR form:
-    # sources rise, and each source's neighbours rise within its run.  A
-    # sentinel key larger than any pair closes them, so that every lookup
-    # position below is valid.
+    # The graph's directed edge keys u * base + v, sorted, are its CSR form:
+    # sources rise, and each source's neighbours rise within its run.  With
+    # base = size + 1 no pair holding ``size``, the id pads look up as, is a
+    # key, and the sentinel key base * base, larger than any pair, makes
+    # every lookup position below valid.
+    base = size + 1
     u, v = graph.edges.T
-    keys = np.sort(np.concatenate([u * size + v, v * size + u, [size * size]]))
-    src, dst = np.divmod(keys[:-1], size)
-    indptr = np.searchsorted(src, np.arange(size + 1))
-    ranking = np.argsort(-np.diff(indptr), kind="stable")  # degree, then id
+    keys = np.sort(np.concatenate([u * base + v, v * base + u, [base * base]]))
+    degree = np.bincount(graph.edges.ravel(), minlength=size)
+    indptr = np.zeros(size + 1, dtype=np.intp)
+    np.cumsum(degree, out=indptr[1:])
+    ranking = np.argsort(-degree, kind="stable")  # degree, then id
     roots = ranking[np.arange(n) % size].tolist()
 
-    starts, targets = indptr.tolist(), dst.tolist()
-    orders = [_bfs_truncated(starts, targets, root, s) for root in roots]
-    mask = np.arange(s) < np.array([len(order) for order in orders])[:, None]
-    nodes = np.zeros((n, s), dtype=np.intp)
-    nodes[mask] = list(chain.from_iterable(orders))
+    rows = _bfs_rows(indptr.tolist(), (keys[:-1] % base).tolist(), roots, s, size)
+    look = np.array(rows, dtype=np.intp).reshape(n, s)
+    mask = look < size
+    nodes = np.where(mask, look, 0)
 
-    # Induced adjacency: look every (u, v) pair of a subgraph up in the keys.
-    pairs = nodes[:, :, None] * size + nodes[:, None, :]
+    # Induced adjacency: look every (u, v) pair of a subgraph up in the keys;
+    # a pair with a pad is never a key.
+    pairs = look[:, :, None] * base + look[:, None, :]
     linked = keys[np.searchsorted(keys, pairs)] == pairs
-    linked &= mask[:, :, None] & mask[:, None, :]
-    linked[:, np.arange(s), np.arange(s)] = False  # no self-loops
+    linked.reshape(n, s * s)[:, :: s + 1] = False  # no self-loops
     return SubgraphSet(
-        nodes=nodes,
-        mask=mask,
-        adjacency=linked.astype(np.float64),
-        overlap=overlap_counts(nodes, mask),
+        nodes=nodes, mask=mask, adjacency=linked, overlap=overlap_counts(nodes, mask)
     )
 
 

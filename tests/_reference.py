@@ -58,7 +58,7 @@ class SubgraphEntry(NamedTuple):
 
     central_node: int
     node_ids: tuple  # real nodes only, node_ids[0] is the root
-    local_adjacency: np.ndarray  # (s, s) symmetric, padded rows/cols zero
+    local_adjacency: np.ndarray  # (s, s) bool, symmetric, padded rows/cols False
     mask: np.ndarray  # (s,) bool, True marks real rows
 
 
@@ -112,12 +112,12 @@ def sample_entries(graph: Graph, n: int, s: int) -> list[SubgraphEntry]:
         root = ranking[i % graph.num_nodes]
         nodes = bfs_order(adj, root, s)
         position = {u: a for a, u in enumerate(nodes)}
-        local = np.zeros((s, s), dtype=np.float64)
+        local = np.zeros((s, s), dtype=bool)
         for a, u in enumerate(nodes):
             for w in adj[u]:
                 b = position.get(w)
                 if b is not None and b != a:
-                    local[a, b] = 1.0
+                    local[a, b] = True
         mask = np.zeros(s, dtype=bool)
         mask[: len(nodes)] = True
         entries.append(SubgraphEntry(root, tuple(nodes), local, mask))
@@ -176,7 +176,7 @@ def subgraph_set_of(entries: list[SubgraphEntry]) -> SubgraphSet:
     s = max(len(e.mask) for e in entries)
     nodes = np.zeros((len(entries), s), dtype=np.intp)
     mask = np.zeros((len(entries), s), dtype=bool)
-    adjacency = np.zeros((len(entries), s, s))
+    adjacency = np.zeros((len(entries), s, s), dtype=bool)
     for i, e in enumerate(entries):
         nodes[i, : len(e.node_ids)] = e.node_ids
         mask[i, : len(e.mask)] = e.mask

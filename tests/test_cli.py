@@ -351,6 +351,21 @@ def test_train_rejects_malformed_bytes(workspace, tmp_path, capsys, line, messag
     assert "SYN_graph_indicator.txt:5: " in err and message in err
 
 
+def test_train_rejects_edge_id_past_int32(workspace, tmp_path, capsys):
+    dataset_dir = tmp_path / "data" / "SYN"
+    shutil.copytree(workspace / "data" / "SYN", dataset_dir)
+    edge_file = dataset_dir / "SYN_A.txt"
+    rows = edge_file.read_bytes().splitlines()
+    rows[2] = b"3000000000, 1"
+    edge_file.write_bytes(b"\n".join(rows) + b"\n")
+    args = [
+        "train", "--dataset", "SYN", "--data-dir", str(tmp_path / "data"),
+        "--out-dir", str(tmp_path / "out"), "--epochs", "1",
+    ]
+    assert main(args) == 2
+    assert "SYN_A.txt:3: node id out of range" in capsys.readouterr().err
+
+
 def test_missing_dataset_directory(workspace, capsys):
     args = [
         "train",

@@ -1,6 +1,8 @@
 import os
 import pickle
 import tempfile
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -305,6 +307,37 @@ def test_malformed_bytes_name_file_and_line(tmp_path, text, message):
         parse_tu_dataset(str(tmp_path), "TOY")
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        # Past the int32 range: the bulk read rejects the file, and the line
+        # reader names the row.
+        ("3000000000, 1", r"TOY_A\.txt:3: node id out of range 1\.\.7"),
+        ("0, 1", r"TOY_A\.txt:3: node id out of range 1\.\.7"),
+        ("1, 8", r"TOY_A\.txt:3: node id out of range 1\.\.7"),
+        ("3, 4", r"TOY_A\.txt:3: edge joins graph 1 and graph 2"),
+    ],
+)
+def test_bad_edge_row_names_file_and_line(tmp_path, row, message):
+    write_fixture(tmp_path)
+    write_lines(tmp_path / "TOY_A.txt", ["1, 2", "2, 1", row, "4, 5"])
+    with pytest.raises(DatasetFormatError, match=message):
+        parse_tu_dataset(str(tmp_path), "TOY")
+
+
+@pytest.mark.parametrize("node_labels", [True, False], ids=["labels", "degree"])
+def test_empty_edge_file_gives_edgeless_graphs(tmp_path, node_labels):
+    write_fixture(tmp_path, node_labels=node_labels)
+    (tmp_path / "TOY_A.txt").write_text("")
+    tri, path = parse_tu_dataset(str(tmp_path), "TOY")
+    for graph in (tri, path):
+        assert graph.edges.shape == (0, 2) and graph.edges.dtype == np.intp
+    if node_labels:
+        assert (tri.node_labels, path.node_labels) == ((0, 0, 1), (1, 2, 2, 0))
+    else:  # every degree is 0: one category
+        assert set(tri.node_labels + path.node_labels) == {0}
+
+
 # --- the bulk parser against the line-by-line oracle ---------------------
 
 SEPARATORS = (", ", ",", " , ", " ", "\t", " ,\t")
@@ -420,6 +453,49 @@ def test_clean_edge_rows_near_the_id_range_fail_like_the_line_oracle(files, data
     u, v = data.draw(node_id), data.draw(node_id)
     files["A"].insert(data.draw(st.integers(0, len(files["A"]))), f"{u}, {v}")
     assert _outcome(parse_tu_dataset, files) == _outcome(parse_tu_lines, files)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tu_files(messy=st.just(False)))
+def test_clean_files_parse_in_bulk(files):
+    """Clean rows never reach the line reader, so the oracle above checks
+    the bulk path; only an empty edge file (numpy warns) is read by lines."""
+    read_rows = dataset._read_rows
+
+    def empty_only(path):
+        assert os.path.getsize(path) == 0, f"line reader called on {path}"
+        return read_rows(path)
+
+    with mock.patch.object(dataset, "_read_rows", empty_only):
+        got = _outcome(parse_tu_dataset, files)
+    assert got == _outcome(parse_tu_lines, files)
+
+
+def test_parse_peak_memory_per_edge_row(tmp_path):
+    """The parser holds one narrow copy of the edge rows at a time: its
+    traced peak, output included, is about 21 bytes per edge-file row here.
+    An int64 read with full-size temporaries took 59, and one ``np.take``
+    over all rows, which copies them as intp indices, 27."""
+    size, count = 300, 60
+    ids = np.arange(size)
+    edges = np.concatenate([np.stack([ids[:-k], ids[k:]], axis=1) for k in (1, 2, 5)])
+    edges = edges[np.lexsort(edges.T[::-1])]  # parsed order
+    labels = np.random.default_rng(0).integers(0, 5, size=(count, size))
+    graphs = [
+        Graph(index=g, label=g % 2, edges=edges, node_labels=tuple(labels[g].tolist()))
+        for g in range(count)
+    ]
+    write_tu_dataset(graphs, str(tmp_path), "BIG")
+    rows = 2 * len(edges) * count
+    assert rows >= 100_000
+    tracemalloc.start()
+    try:
+        parsed = parse_tu_dataset(str(tmp_path), "BIG")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_same_graphs(graphs, parsed)
+    assert peak / rows < 25, f"{peak / rows:.1f} bytes per row"
 
 
 def tiny_graph(index, label):

@@ -88,6 +88,14 @@ def test_matches_dense_message_oracle(seed):
     assert np.max(np.abs(h.value - gcn_oracle(entry, g.features, weights))) <= 1e-10
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_bool_adjacency_gives_the_float_adjacency_bits(seed):
+    g = random_graph(np.random.default_rng(60 + seed), num_nodes=9, edge_prob=0.3)
+    ss = sample_subgraphs(g, n=4, s=5)
+    want = propagation_matrix(ss.adjacency.astype(np.float64), ss.mask)
+    assert propagation_matrix(ss.adjacency, ss.mask).tobytes() == want.tobytes()
+
+
 def test_padded_rows_stay_zero():
     adjacency = np.zeros((4, 4))
     adjacency[0, 1] = adjacency[1, 0] = 1.0

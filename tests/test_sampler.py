@@ -52,6 +52,12 @@ def test_star_hub_and_lowest_leaves():
     np.testing.assert_array_equal(ss.adjacency, want)
 
 
+def test_adjacency_takes_one_byte_per_entry():
+    path = graph_from_edges(5, [(i, i + 1) for i in range(4)])
+    ss = sample_subgraphs(path, n=3, s=3)
+    assert ss.adjacency.dtype == bool and ss.adjacency.shape == (3, 3, 3)
+
+
 def test_path_center_one_ring():
     path = graph_from_edges(5, [(i, i + 1) for i in range(4)])
     ss = sample_subgraphs(path, n=3, s=3)

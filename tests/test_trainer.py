@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -300,6 +302,24 @@ def test_precompute_rejects_negative_categories_without_features():
     graph = Graph(index=7, label=0, edges=((0, 1),), node_labels=(0, -1))
     with pytest.raises(ValueError, match="graph 7"):
         precompute_tensors(graph, 2, 2)
+
+
+def test_precompute_keeps_each_array_at_its_width():
+    """Bytes a graph's tensors keep: float64 propagation blocks and
+    attention offsets, intp node ids and categories, bool mask and
+    adjacency, int16 overlaps, plus a few KiB of Python objects."""
+    n, s = 30, 8
+    graph = random_graph(np.random.default_rng(5), num_nodes=60, edge_prob=0.1)
+    precompute_tensors(graph, n, s)  # warm any lazy state first
+    tracemalloc.start()
+    try:
+        tensors = precompute_tensors(graph, n, s)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    arrays = n * s * s * (8 + 1) + n * s * (8 + 8 + 8 + 1) + n * n * 2
+    assert kept <= arrays + 8 * 1024, f"{kept} bytes kept, arrays need {arrays}"
+    assert tensors.subgraph_set.adjacency.nbytes == n * s * s
 
 
 def test_mi_corrupt_shuffles_each_graph_once(dataset, monkeypatch):
