@@ -58,16 +58,15 @@ class Graph:
 
     ``node_labels`` are the node categories the trainer encodes.
     :func:`parse_tu_dataset` leaves ``features`` as ``None``.  A hand-built
-    graph may supply it, but then it must be the one-hot rows of
-    ``node_labels`` (row i holds a single 1.0 in column ``node_labels[i]``),
-    and the trainer rejects graphs that break this.
+    graph may carry any array there, such as a zero-width placeholder;
+    training never reads it.
     """
 
     index: int
     label: int
     edges: np.ndarray
     node_labels: tuple[int, ...]
-    features: np.ndarray | None = None  # optional (num_nodes, width) one-hot rows
+    features: np.ndarray | None = None  # optional per-node rows, never read in training
 
     def __post_init__(self):
         edges = np.asarray(self.edges, dtype=np.intp).view()  # keeps a caller's array writable

@@ -3,15 +3,19 @@
 ``explain_graph`` replays one graph through the trained pipeline in
 evaluation mode, on a forward-only tape that records nothing for backward,
 and gathers projection scores, gates, attention weights, and per-subgraph
-class votes.  The result renders two ways: a DOT file
-(selected subgraphs as clusters, node fill color by label category, node
-size growing with intra-subgraph attention weight over a small legibility
-floor, omitted nodes grey) and a JSON file with the raw numbers.
+class votes.  The sketch edges are the live entries above the diagonal of
+the forward's sketch-attention mask, row by row.  The result renders two
+ways: a DOT file (selected subgraphs as clusters, node fill color by label
+category, node size growing with intra-subgraph attention weight over a
+small legibility floor, omitted nodes grey) and a JSON file with the raw
+numbers.
 """
 
 from __future__ import annotations
 
 import json
+
+import numpy as np
 
 from .dataset import Graph
 from .diffcore import Tape
@@ -21,7 +25,6 @@ from .trainer import (
     batch_forward,
     bind_model,
     precompute_tensors,
-    predict_label,
 )
 
 PALETTE = (
@@ -74,18 +77,18 @@ def explain_graph(
                 "class_distribution": [float(x) for x in sub_dists[rank]],
             }
         )
-    sketch = state.sketches[0]
+    rows, cols = np.nonzero(np.triu(state.mask == 0.0, 1))
     return {
         "graph_id": graph.index,
         "true_label": graph.label,
         "k": k,
         "selection_count": len(selected),
-        "predicted_label": predict_label(result.graph_dists.value[0]),
+        "predicted_label": int(np.argmax(result.graph_dists.value[0])),
         "graph_distribution": [float(x) for x in result.graph_dists.value[0]],
         "subgraphs": subgraphs,
         "selected_subgraphs": selected_detail,
         "sketch_edges": [
-            [selected[i], selected[j]] for i, j in sketch.edges
+            [selected[i], selected[j]] for i, j in zip(rows.tolist(), cols.tolist())
         ],
     }
 

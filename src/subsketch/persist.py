@@ -71,7 +71,7 @@ def load_model(out_dir: str) -> tuple[ModelParams, TrainConfig, float]:
     try:
         config = TrainConfig(**manifest["config"])
         declared = [(item["name"], tuple(item["shape"])) for item in manifest["arrays"]]
-        final_k = float(manifest["final_k"])
+        final_k = manifest["final_k"]
         # Feature and class counts come from the two arrays that carry them;
         # every other shape follows from the config.
         shapes = dict(declared)
@@ -81,6 +81,11 @@ def load_model(out_dir: str) -> tuple[ModelParams, TrainConfig, float]:
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         # A missing field, an unknown config key or a bad value.
         raise ConfigError(f"{manifest_path}: malformed manifest: {exc!r}") from None
+    # Saved models have k in [dk, 1]; a bool is no number, NaN fails both tests.
+    if type(final_k) not in (int, float) or not 0.0 < final_k <= 1.0:
+        raise ConfigError(
+            f"{manifest_path}: final_k must be a number in (0, 1], got {final_k!r}"
+        )
     for got, want in zip_longest(declared, spec):
         if got != want:
             raise ConfigError(
@@ -105,7 +110,7 @@ def load_model(out_dir: str) -> tuple[ModelParams, TrainConfig, float]:
     for (name, shape), size in zip(spec, sizes):
         model[name] = flat[cursor : cursor + size].reshape(shape)
         cursor += size
-    return model, config, final_k
+    return model, config, float(final_k)
 
 
 def write_report(

@@ -20,7 +20,8 @@ two subgraphs share.
 The sketched graph treats selected subgraphs as supernodes and connects two
 of them when they share strictly more than ``b_com`` original nodes.  The
 shared-node counts are computed once per graph, when it is sampled, so
-building a sketch on each training step only indexes them.
+building a sketch on each training step only indexes them into a bool
+adjacency.
 """
 
 from __future__ import annotations
@@ -119,8 +120,8 @@ class SketchedGraph:
     """Supernode graph over the selected subgraphs.
 
     ``supernodes`` holds the selected subgraph indices; ``adjacency`` is the
-    read-only (m, m) 0/1 matrix over *positions* into that tuple, symmetric
-    with a zero diagonal.
+    read-only (m, m) bool matrix over *positions* into that tuple, symmetric
+    with a False diagonal.
     """
 
     supernodes: tuple[int, ...]
@@ -145,4 +146,4 @@ def build_sketched_graph(
     sel = np.asarray(idx, dtype=np.intp)
     linked = subgraph_set.overlap.take(sel, axis=0).take(sel, axis=1) > b_com
     linked.flat[:: len(sel) + 1] = False
-    return SketchedGraph(supernodes=tuple(idx), adjacency=linked.astype(np.float64))
+    return SketchedGraph(supernodes=tuple(idx), adjacency=linked)

@@ -5,15 +5,18 @@ The forward pass is fully batched for CPU efficiency: every subgraph of
 every graph in the batch lives in one big tape, with block-diagonal
 propagation for the per-subgraph convolutions.  Node features are one-hot
 categories, so the first layer's product X W0 is a row lookup of W0 by each
-node's category; no dense feature block is built.  A graph's constants are
-fixed-shape arrays built once (:func:`precompute_tensors`): (n, s, s)
-propagation blocks, (n*s,) categories and an (n, s) attention mask.  Every
-graph keeps the same number M of supernodes, so the selection is one (B, M)
-array of subgraph indices, supernode rows are grouped by graph, and sketch
-attention runs on (B*M, M) blocks, one M x M block per graph, never forming
+node's category; no dense feature block is built, and ``Graph.features`` is
+never read.  A graph's constants are fixed-shape arrays built once
+(:func:`precompute_tensors`): (n, s, s) propagation blocks and (n*s,)
+categories beside its :class:`SubgraphSet`; each batch takes its
+intra-attention offsets from the stacked subgraph masks.  Every graph keeps
+the same number M of supernodes, so the selection is one (B, M) array of
+subgraph indices, supernode rows are grouped by graph, and sketch attention
+runs under one (B*M, M) mask, one M x M block per graph, never forming
 cross-graph pairs.  Top-k ranking and sketched-graph construction run per
-graph on plain numpy values between tape ops.  The vote cross-entropy is one
-log-space tape op on the subgraph logits (``Tape.vote_nll``).
+graph on plain numpy values between tape ops; the forward keeps only the
+selection and that mask.  The vote cross-entropy is one log-space tape op
+on the subgraph logits (``Tape.vote_nll``).
 
 A training step records its forward on a ``Tape`` and runs backward on it.
 :func:`evaluate_accuracy` runs the same forward, dropout off, on a
@@ -40,7 +43,7 @@ from .diffcore import MASK_OFF, Node, Tape
 from .encoder import glorot, propagation_matrix, subgraph_features
 from .errors import ConfigError, TrainingDiverged
 from .pooling import PoolingAgent, annealed_epsilon, rank_topk
-from .sampler import SketchedGraph, SubgraphSet, build_sketched_graph, sample_subgraphs
+from .sampler import SubgraphSet, build_sketched_graph, sample_subgraphs
 from .sketch_mi import attention_mask, corrupt, inter_attention_with_mask, mi_loss
 
 VARIANTS = ("full", "fixed_k", "no_mi", "mi_corrupt")
@@ -149,29 +152,13 @@ class GraphTensors:
     subgraph_set: SubgraphSet
     prop_blocks: np.ndarray  # (n, s, s) propagation matrices
     feats: np.ndarray  # (n*s,) intp node category per stacked row; pads hold 0
-    attn_off: np.ndarray  # (n, s): 0 for real nodes, MASK_OFF for padding
 
 
 def _node_categories(graph: Graph) -> np.ndarray:
-    """``node_labels`` as an index array.  Where the graph carries
-    ``features``, they are checked to hold the single 1.0 of each row in the
-    node's category column; the check reads a nonzero count and the picked
-    entries, never a dense one-hot copy."""
+    """``node_labels`` as an index array; they index rows of W0."""
     cats = np.asarray(graph.node_labels, dtype=np.intp)
-    feats, n = graph.features, len(cats)
-    if feats is None:
-        if n and cats.min() < 0:
-            raise ValueError(f"graph {graph.index}: node_labels must be non-negative")
-    elif not (
-        feats.ndim == 2
-        and feats.shape[0] == n
-        and (n == 0 or (cats.min() >= 0 and cats.max() < feats.shape[1]))
-        and np.count_nonzero(feats) == n
-        and np.all(feats[np.arange(n), cats] == 1.0)
-    ):
-        raise ValueError(
-            f"graph {graph.index}: features must be the one-hot rows of node_labels"
-        )
+    if len(cats) and cats.min() < 0:
+        raise ValueError(f"graph {graph.index}: node_labels must be non-negative")
     return cats
 
 
@@ -183,13 +170,7 @@ def precompute_tensors(graph: Graph, n: int, s: int) -> GraphTensors:
         ss,
         propagation_matrix(ss.adjacency, ss.mask),
         subgraph_features(ss, cats),
-        np.where(ss.mask, 0.0, MASK_OFF),
     )
-
-
-def predict_label(distribution: np.ndarray) -> int:
-    """Argmax with ties resolved to the lower class index."""
-    return int(np.argmax(distribution))
 
 
 def total_loss(
@@ -231,17 +212,17 @@ def sgd_momentum_step(
 
 @dataclass(eq=False)
 class PipelineState:
-    """Tape nodes and per-graph bookkeeping from one selection pipeline.
+    """Tape nodes and selection arrays from one selection pipeline.
 
-    Supernode rows (``gates``, ``z_primes``) are grouped by graph: graph b
-    owns rows [b*M, (b+1)*M), in the order of ``selected[b]``.
+    Supernode rows (``gates``, ``z_primes``, ``mask``) are grouped by graph:
+    graph b owns rows [b*M, (b+1)*M), in the order of ``selected[b]``.
     """
 
     values: Node  # (B*n, 1) projection scores
     intra_weights: Node  # (B*n, s)
     selected: np.ndarray  # (B, M) kept subgraph indices per graph, best first
     gates: Node  # (B*M, 1)
-    sketches: list[SketchedGraph]
+    mask: np.ndarray  # (B*M, M) sketch attention: 0 on sketch edges and the diagonal
     z_primes: Node  # (B*M, d2)
 
 
@@ -261,7 +242,9 @@ def _run_pipeline(
     feats = np.concatenate(
         feats_override if feats_override is not None else [t.feats for t in tensors]
     )
-    attn_off = np.vstack([t.attn_off for t in tensors])
+    attn_off = np.where(
+        np.concatenate([t.subgraph_set.mask for t in tensors]), 0.0, MASK_OFF
+    )
 
     # Message passing over all subgraphs at once (block-diagonal propagation).
     # Layer 0 looks up W0's row for each node's category, which is X W0 for
@@ -291,10 +274,6 @@ def _run_pipeline(
 
     # Per-graph top-k on the numeric scores; every graph keeps the same M.
     local = [rank_topk(row, k) for row in values.value.reshape(batch, n)]
-    sketches = [
-        build_sketched_graph(t.subgraph_set, sel, config.b_com)
-        for t, sel in zip(tensors, local)
-    ]
     selected = np.array(local, dtype=np.intp)
     rows = (selected + n * np.arange(batch)[:, None]).reshape(-1)
 
@@ -304,7 +283,10 @@ def _run_pipeline(
 
     # Sketch attention per graph: each graph keeps the same count M, so the
     # stacked (m', M) mask holds one M x M block per graph.
-    mask = np.vstack([attention_mask(sk) for sk in sketches])
+    mask = np.vstack([
+        attention_mask(build_sketched_graph(t.subgraph_set, sel, config.b_com))
+        for t, sel in zip(tensors, local)
+    ])
     heads = [
         (bound[f"sketch.w_inter{i}"], bound[f"sketch.a_inter{i}"])
         for i in range(config.heads)
@@ -316,7 +298,7 @@ def _run_pipeline(
         intra_weights=intra_weights,
         selected=selected,
         gates=gates,
-        sketches=sketches,
+        mask=mask,
         z_primes=z_primes,
     )
 
@@ -467,16 +449,13 @@ def train_fold(
 
     model = init_model(rng_init, stats.feature_dim, stats.num_classes, config)
     velocity: dict[str, np.ndarray] = {}
-    agent = PoolingAgent(
-        k=config.k0, dk=config.resolved_dk, gamma=1.0, epsilon=0.9, alpha=0.1
-    )
+    agent = PoolingAgent(k=config.k0, dk=config.resolved_dk)
     if config.variant == "fixed_k":
         agent.frozen = True
 
     trajectory: list[dict] = []
     best_loss = np.inf
     best_epoch = -1
-    stopped_epoch = config.epochs - 1
     for epoch in range(config.epochs):
         if not agent.frozen:
             agent.epsilon = annealed_epsilon(epoch)
@@ -533,16 +512,14 @@ def train_fold(
         # Early stop only once k is frozen, so ratio exploration cannot be
         # cut short by a stale loss plateau.
         if agent.frozen and epoch - best_epoch >= config.patience:
-            stopped_epoch = epoch
             break
-        stopped_epoch = epoch
 
     return FoldResult(
         fold=fold,
         model=model,
         final_k=agent.k,
         trajectory=trajectory,
-        stopped_epoch=stopped_epoch,
+        stopped_epoch=epoch,  # the last epoch run
     )
 
 

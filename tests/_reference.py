@@ -156,7 +156,7 @@ def precompute_reference(graph: Graph, n: int, s: int) -> dict[str, np.ndarray]:
     return {
         "prop_blocks": np.stack([entry_propagation(e) for e in entries]),
         "feats": np.concatenate([entry_rows(e, cats) for e in entries]),
-        "attn_off": np.stack([np.where(e.mask, 0.0, MASK_OFF) for e in entries]),
+        "mask": np.stack([e.mask for e in entries]),
         "overlap": entry_overlap(entries),
     }
 

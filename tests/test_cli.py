@@ -274,6 +274,22 @@ def test_evaluate_rejects_unknown_config_key(trained, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "final_k",
+    [float("nan"), float("inf"), 0, -0.5, 7.5, "0.5", True],
+    ids=["NaN", "Infinity", "0", "-0.5", "7.5", "string", "true"],
+)
+def test_evaluate_rejects_final_k_off_the_unit_interval(
+    trained, tmp_path, capsys, final_k
+):
+    manifest_path, manifest = _doctored_model(trained, tmp_path)
+    manifest["final_k"] = final_k  # json writes NaN and Infinity bare
+    manifest_path.write_text(json.dumps(manifest))
+    assert _evaluate_exit(trained[0], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert str(manifest_path) in err and "final_k" in err
+
+
+@pytest.mark.parametrize(
     "text, message",
     [
         ('{"schema_version": 1,, "arrays": []}', "not valid JSON"),

@@ -190,7 +190,7 @@ def test_selection_helpers_match_the_formulas_they_replaced(b_com, num_nodes):
         linked = ss.overlap[np.ix_(want, want)] > b_com
         np.fill_diagonal(linked, False)
         sk = build_sketched_graph(ss, idx, b_com)
-        assert sk.adjacency.tobytes() == linked.astype(np.float64).tobytes()
+        assert sk.adjacency.dtype == bool and sk.adjacency.tobytes() == linked.tobytes()
         allowed = sk.adjacency + np.eye(len(idx))
         want_mask = np.where(allowed > 0, 0.0, MASK_OFF)
         assert attention_mask(sk).tobytes() == want_mask.tobytes()
