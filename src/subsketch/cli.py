@@ -49,30 +49,27 @@ DATASET_DEFAULTS = {
 _PATH_KEYS = ("dataset", "data_dir", "out_dir")
 
 
-def _field_parsers() -> dict:
-    parsers = {}
-    for field in fields(TrainConfig):
-        if field.name == "dk":
-            parsers[field.name] = (
-                lambda text: None if text.lower() == "none" else float(text)
-            )
-        elif isinstance(field.default, int):
-            parsers[field.name] = int
-        elif isinstance(field.default, float):
-            parsers[field.name] = float
-        else:
-            parsers[field.name] = str
-    return parsers
+# Reads a config-file value for each TrainConfig annotation.
+_READERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "float | None": lambda text: None if text.lower() == "none" else float(text),
+}
 
 
 def parse_config_file(path: str) -> dict:
-    """Read ``key = value`` lines; ``#`` starts a comment."""
+    """Read UTF-8 ``key = value`` lines; ``#`` starts a comment."""
     if not os.path.isfile(path):
         raise FileNotFoundError(f"config file not found: {path}")
-    parsers = _field_parsers()
+    parsers = {field.name: _READERS[field.type] for field in fields(TrainConfig)}
     values: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            try:  # surrogateescape keeps each undecodable byte as a lone surrogate
+                raw.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ConfigError(f"{path}:{lineno}: not valid UTF-8") from None
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -198,9 +195,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             f"fold {args.fold} out of range 0..{plan.fold_count - 1}"
         )
     _, test_ids = plan.split(args.fold)
-    by_id = {g.index: g for g in graphs}
     tensors = {
-        i: precompute_tensors(by_id[i], saved_config.n, saved_config.s)
+        i: precompute_tensors(graphs[i], saved_config.n, saved_config.s)
         for i in test_ids
     }
     accuracy = evaluate_accuracy(model, tensors, test_ids, final_k, saved_config)
@@ -255,19 +251,19 @@ def cmd_explain(args: argparse.Namespace) -> int:
     model, saved_config, final_k = load_model(settings.out_dir)
     graphs = _load_graphs(settings)
     _check_model_fits(settings, model, graphs)
-    match = next((g for g in graphs if g.index == args.graph_id), None)
-    if match is None:
+    if not 0 <= args.graph_id < len(graphs):
         raise ConfigError(
             f"unknown graph id {args.graph_id} "
             f"(dataset has graphs 0..{len(graphs) - 1})"
         )
-    detail = explain_graph(model, saved_config, match, final_k)
-    dot_path = os.path.join(settings.out_dir, f"graph_{match.index}.dot")
-    json_path = os.path.join(settings.out_dir, f"graph_{match.index}.json")
-    write_dot(dot_path, match, detail)
+    graph = graphs[args.graph_id]
+    detail = explain_graph(model, saved_config, graph, final_k)
+    dot_path = os.path.join(settings.out_dir, f"graph_{graph.index}.dot")
+    json_path = os.path.join(settings.out_dir, f"graph_{graph.index}.json")
+    write_dot(dot_path, graph, detail)
     write_graph_json(json_path, detail)
     print(
-        f"graph {match.index}: predicted class {detail['predicted_label']} "
+        f"graph {graph.index}: predicted class {detail['predicted_label']} "
         f"(true {detail['true_label']}), kept {detail['selection_count']} "
         f"of {saved_config.n} subgraphs"
     )

@@ -56,10 +56,11 @@ class Graph:
     any sequence of pairs of ids in ``0..num_nodes - 1``; parsed rows have
     ``u < v`` and come in ``(u, v)`` order.
 
-    ``node_labels`` are the node categories the trainer encodes.
-    :func:`parse_tu_dataset` leaves ``features`` as ``None``.  A hand-built
-    graph may carry any array there, such as a zero-width placeholder;
-    training never reads it.
+    ``node_labels`` are the node categories the trainer encodes, as row
+    indices of its first layer, so building a graph with a negative label
+    raises.  :func:`parse_tu_dataset` leaves ``features`` as ``None``.  A
+    hand-built graph may carry any array there, such as a zero-width
+    placeholder; training never reads it.
     """
 
     index: int
@@ -78,6 +79,8 @@ class Graph:
             raise ValueError(
                 f"graph {self.index}: edges must be (u, v) pairs of ids in 0..{self.num_nodes - 1}"
             )
+        if min(self.node_labels, default=0) < 0:
+            raise ValueError(f"graph {self.index}: node_labels must be non-negative")
         edges.flags.writeable = False
         object.__setattr__(self, "edges", edges)
 
@@ -97,12 +100,8 @@ class Graph:
 
 @dataclass(frozen=True)
 class DatasetStats:
-    num_graphs: int
     num_classes: int
     feature_dim: int  # node category count: 1 + the largest node label
-    max_nodes: int
-    avg_nodes: float
-    class_counts: tuple[int, ...]
 
 
 def _read_rows(path: str) -> list[tuple[int, tuple[int, ...]]]:
@@ -247,7 +246,8 @@ def _require(dir_path: str, filename: str) -> str:
 
 
 def parse_tu_dataset(dir_path: str, name: str) -> list[Graph]:
-    """Parse the four TU files for ``name`` under ``dir_path`` into Graphs."""
+    """Parse the four TU files for ``name`` under ``dir_path`` into Graphs,
+    in file order: ``graphs[i].index == i``."""
     a_path = _require(dir_path, f"{name}_A.txt")
     ind_path = _require(dir_path, f"{name}_graph_indicator.txt")
     lab_path = _require(dir_path, f"{name}_graph_labels.txt")
@@ -360,18 +360,9 @@ def write_tu_dataset(graphs: list[Graph], dir_path: str, name: str) -> None:
 
 
 def dataset_stats(graphs: list[Graph]) -> DatasetStats:
-    num_classes = max(g.label for g in graphs) + 1
-    counts = [0] * num_classes
-    for g in graphs:
-        counts[g.label] += 1
-    sizes = [g.num_nodes for g in graphs]
     return DatasetStats(
-        num_graphs=len(graphs),
-        num_classes=num_classes,
+        num_classes=max(g.label for g in graphs) + 1,
         feature_dim=max(g.num_categories for g in graphs),
-        max_nodes=max(sizes),
-        avg_nodes=sum(sizes) / len(sizes),
-        class_counts=tuple(counts),
     )
 
 

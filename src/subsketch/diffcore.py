@@ -49,25 +49,20 @@ def as_matrix(value) -> Matrix:
 
 
 class Node:
-    """One recorded value on a tape: output, operands, and a backward rule."""
+    """One unnamed value on a tape: output, operands, and a backward rule."""
 
-    __slots__ = ("value", "grad", "parents", "backward_rule", "is_param", "name")
+    __slots__ = ("value", "grad", "parents", "backward_rule", "is_param")
 
-    def __init__(self, value, parents, backward_rule, is_param=False, name=None):
+    def __init__(self, value, parents, backward_rule, is_param=False):
         self.value = value
         self.grad = None
         self.parents = parents
         self.backward_rule = backward_rule
         self.is_param = is_param
-        self.name = name
 
     @property
     def shape(self):
         return self.value.shape
-
-    def __repr__(self):
-        tag = self.name or ("param" if self.is_param else "node")
-        return f"<Node {tag} {self.value.shape[0]}x{self.value.shape[1]}>"
 
 
 class Tape:
@@ -88,22 +83,22 @@ class Tape:
 
     # ------------------------------------------------------------------ leaves
 
-    def _record(self, value, parents=(), backward_rule=None, is_param=False, name=None) -> Node:
+    def _record(self, value, parents=(), backward_rule=None, is_param=False) -> Node:
         if not self.record:
-            return Node(value, (), None, is_param, name)
-        node = Node(value, tuple(parents), backward_rule, is_param, name)
+            return Node(value, (), None, is_param)
+        node = Node(value, tuple(parents), backward_rule, is_param)
         self.nodes.append(node)
         if is_param:
             self.params.append(node)
         return node
 
-    def param(self, value, name=None) -> Node:
+    def param(self, value) -> Node:
         """Leaf that accumulates a gradient during backward."""
-        return self._record(as_matrix(value), is_param=True, name=name)
+        return self._record(as_matrix(value), is_param=True)
 
-    def constant(self, value, name=None) -> Node:
+    def constant(self, value) -> Node:
         """Leaf with no gradient tracking."""
-        return self._record(as_matrix(value), name=name)
+        return self._record(as_matrix(value))
 
     # --------------------------------------------------------------- structure
 

@@ -13,12 +13,11 @@ numbers.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .dataset import Graph
 from .diffcore import Tape
+from .persist import write_json
 from .trainer import (
     ModelParams,
     TrainConfig,
@@ -94,9 +93,7 @@ def explain_graph(
 
 
 def write_graph_json(path: str, detail: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(detail, fh, indent=2)
-        fh.write("\n")
+    write_json(path, detail)
 
 
 def write_dot(path: str, graph: Graph, detail: dict) -> None:

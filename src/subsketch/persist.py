@@ -45,7 +45,7 @@ def save_model(
             {"name": name, "shape": list(arr.shape)} for name, arr in model.items()
         ],
     }
-    _write_json(os.path.join(out_dir, "model.manifest.json"), manifest)
+    write_json(os.path.join(out_dir, "model.manifest.json"), manifest)
 
 
 def load_model(out_dir: str) -> tuple[ModelParams, TrainConfig, float]:
@@ -127,7 +127,7 @@ def write_report(
         "final_ks": final_ks,
         "stopped_epochs": stopped_epochs,
     }
-    _write_json(path, payload)
+    write_json(path, payload)
 
 
 TRAJECTORY_FIELDS = ("fold", "epoch", "loss", "train_acc", "k", "reward", "terminated")
@@ -166,7 +166,8 @@ def write_ablation(path: str, rows: list[dict]) -> None:
             )
 
 
-def _write_json(path: str, payload: dict) -> None:
+def write_json(path: str, payload: dict) -> None:
+    """Indented JSON and a final newline: the layout of every JSON artifact."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

@@ -54,7 +54,7 @@ def inter_attention_with_mask(
             f"mask shape {additive_mask.shape} does not fit {zs.shape[0]} embeddings"
         )
     graphs = rows // m
-    mask = tape.constant(additive_mask, name="sketch_mask")
+    mask = tape.constant(additive_mask)
     head_outputs = []
     coefficients = []
     for w, a in heads:

@@ -8,15 +8,16 @@ categories, so the first layer's product X W0 is a row lookup of W0 by each
 node's category; no dense feature block is built, and ``Graph.features`` is
 never read.  A graph's constants are fixed-shape arrays built once
 (:func:`precompute_tensors`): (n, s, s) propagation blocks and (n*s,)
-categories beside its :class:`SubgraphSet`; each batch takes its
-intra-attention offsets from the stacked subgraph masks.  Every graph keeps
-the same number M of supernodes, so the selection is one (B, M) array of
-subgraph indices, supernode rows are grouped by graph, and sketch attention
-runs under one (B*M, M) mask, one M x M block per graph, never forming
-cross-graph pairs.  Top-k ranking and sketched-graph construction run per
-graph on plain numpy values between tape ops; the forward keeps only the
-selection and that mask.  The vote cross-entropy is one log-space tape op
-on the subgraph logits (``Tape.vote_nll``).
+categories (``Graph`` checks its labels) beside its :class:`SubgraphSet`.
+The pipeline is given a batch's stacked categories, real or shuffled, and
+derives intra-attention offsets from the stacked subgraph masks.  Every graph
+keeps the same number M of supernodes, so the selection is one (B, M) array
+of subgraph indices, supernode rows are grouped by graph, and sketch
+attention runs under one (B*M, M) mask, one M x M block per graph, never
+forming cross-graph pairs.  Top-k ranking and sketched-graph construction run
+per graph on plain numpy values between tape ops; the forward keeps only the
+selection and that mask.  The vote cross-entropy is one log-space tape op on
+the subgraph logits (``Tape.vote_nll``).
 
 A training step records its forward on a ``Tape`` and runs backward on it.
 :func:`evaluate_accuracy` runs the same forward, dropout off, on a
@@ -32,9 +33,10 @@ Variants:
 
 from __future__ import annotations
 
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -48,9 +50,20 @@ from .sketch_mi import attention_mask, corrupt, inter_attention_with_mask, mi_lo
 
 VARIANTS = ("full", "fixed_k", "no_mi", "mi_corrupt")
 
+# The values each TrainConfig annotation admits.
+_ADMITS = {
+    "int": numbers.Integral,
+    "float": numbers.Real,
+    "str": str,
+    "float | None": (numbers.Real, type(None)),
+}
+
 
 @dataclass
 class TrainConfig:
+    """Training settings.  Each field's annotation is its type: it is
+    checked on construction, and ``cli`` reads config-file values by it."""
+
     n: int = 12
     s: int = 5
     k0: float = 0.5
@@ -73,6 +86,11 @@ class TrainConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            # bool is an int subclass, but True is no count or rate
+            if isinstance(value, bool) or not isinstance(value, _ADMITS[field.type]):
+                raise ConfigError(f"{field.name} must be of type {field.type}, got {value!r}")
         if self.variant not in VARIANTS:
             raise ConfigError(
                 f"unknown variant {self.variant!r}; expected one of {VARIANTS}"
@@ -83,8 +101,9 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be finite and non-negative, got {value}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if self.b_com < 0:
-            raise ConfigError(f"b_com must be non-negative, got {self.b_com}")
+        for name in ("b_com", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
         if not 0.0 < self.k0 <= 1.0:
             raise ConfigError(f"k0 must lie in (0, 1], got {self.k0}")
         if not 0.0 <= self.dropout < 1.0:
@@ -141,7 +160,7 @@ def init_model(
 
 def bind_model(model: ModelParams, tape: Tape) -> dict[str, Node]:
     """One parameter node per array, under the array's name."""
-    return {name: tape.param(arr, name=name) for name, arr in model.items()}
+    return {name: tape.param(arr) for name, arr in model.items()}
 
 
 @dataclass(eq=False)
@@ -154,22 +173,13 @@ class GraphTensors:
     feats: np.ndarray  # (n*s,) intp node category per stacked row; pads hold 0
 
 
-def _node_categories(graph: Graph) -> np.ndarray:
-    """``node_labels`` as an index array; they index rows of W0."""
-    cats = np.asarray(graph.node_labels, dtype=np.intp)
-    if len(cats) and cats.min() < 0:
-        raise ValueError(f"graph {graph.index}: node_labels must be non-negative")
-    return cats
-
-
 def precompute_tensors(graph: Graph, n: int, s: int) -> GraphTensors:
-    cats = _node_categories(graph)
     ss = sample_subgraphs(graph, n, s)
     return GraphTensors(
         graph,
         ss,
         propagation_matrix(ss.adjacency, ss.mask),
-        subgraph_features(ss, cats),
+        subgraph_features(ss, np.asarray(graph.node_labels, dtype=np.intp)),
     )
 
 
@@ -229,19 +239,17 @@ class PipelineState:
 def _run_pipeline(
     bound: dict[str, Node],
     tensors: list[GraphTensors],
+    feats: np.ndarray,
     k: float,
     config: TrainConfig,
     tape: Tape,
     rng: np.random.Generator | None,
-    feats_override: list[np.ndarray] | None = None,
 ) -> PipelineState:
+    """``feats`` is the (B*n*s,) node category of every stacked row."""
     n, s = config.n, config.s
     batch = len(tensors)
     m = batch * n
     prop = np.concatenate([t.prop_blocks for t in tensors])
-    feats = np.concatenate(
-        feats_override if feats_override is not None else [t.feats for t in tensors]
-    )
     attn_off = np.where(
         np.concatenate([t.subgraph_set.mask for t in tensors]), 0.0, MASK_OFF
     )
@@ -325,7 +333,8 @@ def batch_forward(
     corrupt_rng: np.random.Generator | None = None,
     compute_loss: bool = True,
 ) -> ForwardResult:
-    state = _run_pipeline(bound, tensors, k, config, tape, rng)
+    feats = np.concatenate([t.feats for t in tensors])
+    state = _run_pipeline(bound, tensors, feats, k, config, tape, rng)
     batch, kept = state.selected.shape
     # Each graph's mean over its block of M supernode rows.
     mean_weights = tape.constant(np.full((batch, kept), 1.0 / kept))
@@ -364,16 +373,14 @@ def batch_forward(
         else:  # mi_corrupt: re-run the pipeline on shuffled features
             # One shuffle per graph, shared by all its subgraphs, so that
             # overlapping subgraphs agree on each node's corrupted category.
-            shuffled = [
+            shuffled = np.concatenate([
                 subgraph_features(
                     t.subgraph_set,
                     corrupt(np.asarray(t.graph.node_labels, dtype=np.intp), corrupt_rng),
                 )
                 for t in tensors
-            ]
-            twisted = _run_pipeline(
-                bound, tensors, k, config, tape, rng, feats_override=shuffled
-            )
+            ])
+            twisted = _run_pipeline(bound, tensors, shuffled, k, config, tape, rng)
             neg = tape.rowdot(twisted.z_primes, own)
         mi = mi_loss(pos, neg, tape)
 

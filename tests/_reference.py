@@ -197,8 +197,8 @@ def encode_nodes(
 ) -> Node:
     """Run the layered propagation for one subgraph from dense feature rows;
     returns ``s x d1``."""
-    prop = tape.constant(entry_propagation(entry), name="prop")
-    h = tape.constant(entry_rows(entry, graph_features), name="h0")
+    prop = tape.constant(entry_propagation(entry))
+    h = tape.constant(entry_rows(entry, graph_features))
     for layer, weight in enumerate(enc.layer_weights):
         if layer > 0 and dropout_rate > 0.0:
             h = tape.dropout(h, dropout_rate, rng)
@@ -214,7 +214,7 @@ def intra_attention_weights(h: Node, mask: np.ndarray, enc: Encoder, tape: Tape)
     direction = tape.matmul(tape.transpose(enc.w_intra), enc.a_intra)
     logits = tape.tanh(tape.matmul(h, direction))
     off = np.where(mask, 0.0, MASK_OFF)[None, :]
-    scores = tape.add(tape.transpose(logits), tape.constant(off, name="attn_mask"))
+    scores = tape.add(tape.transpose(logits), tape.constant(off))
     return tape.softmax_rows(scores)
 
 
@@ -271,7 +271,7 @@ def readout(z_primes: Node, tape: Tape) -> Node:
     m = z_primes.shape[0]
     if m < 1:
         raise ValueError("readout needs at least one supernode")
-    averager = tape.constant(np.full((1, m), 1.0 / m), name="readout_mean")
+    averager = tape.constant(np.full((1, m), 1.0 / m))
     return tape.matmul(averager, z_primes)
 
 

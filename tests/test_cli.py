@@ -274,6 +274,37 @@ def test_evaluate_rejects_unknown_config_key(trained, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n", 12.5),
+        ("n", True),
+        ("s", 5.0),
+        ("batch_size", 2.5),
+        ("seed", 1.5),
+        ("seed", -1),
+        ("b_com", 0.5),
+        ("fold_count", 10.0),
+    ],
+)
+@pytest.mark.parametrize("command", ["evaluate", "explain"])
+def test_manifest_config_of_wrong_type_or_sign_exits_two(
+    trained, tmp_path, capsys, field, value, command
+):
+    manifest_path, manifest = _doctored_model(trained, tmp_path)
+    manifest["config"][field] = value
+    manifest_path.write_text(json.dumps(manifest))
+    args = [
+        command, "0",
+        "--dataset", "SYN",
+        "--data-dir", str(trained[0] / "data"),
+        "--out-dir", str(tmp_path),
+    ]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert str(manifest_path) in err and f"{field} must" in err
+
+
+@pytest.mark.parametrize(
     "final_k",
     [float("nan"), float("inf"), 0, -0.5, 7.5, "0.5", True],
     ids=["NaN", "Infinity", "0", "-0.5", "7.5", "string", "true"],
@@ -400,6 +431,20 @@ def test_unknown_config_key_exits_with_two(workspace, tmp_path, capsys):
     args = ["train", "--config", str(config)]
     assert main(args) == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_config_file_not_utf8_exits_with_two(workspace, tmp_path, capsys):
+    config = tmp_path / "latin1.cfg"
+    config.write_bytes(b"epochs = 3\n# caf\xe9\n")
+    args = _train_args(workspace, "out_latin1", extra=["--config", str(config)])
+    assert main(args) == 2
+    assert f"{config}:2: not valid UTF-8" in capsys.readouterr().err
+
+
+def test_negative_seed_flag_exits_with_two(workspace, capsys):
+    args = _train_args(workspace, "out_negative_seed", extra=["--seed=-1"])
+    assert main(args) == 2
+    assert "seed must be non-negative, got -1" in capsys.readouterr().err
 
 
 def test_nan_learning_rate_in_config_exits_with_two(workspace, tmp_path, capsys):

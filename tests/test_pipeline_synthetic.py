@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from _synth import planted_motif_dataset
-from subsketch.dataset import dataset_stats, parse_tu_dataset, write_tu_dataset
+from subsketch.dataset import parse_tu_dataset, write_tu_dataset
 from subsketch.trainer import TrainConfig, cross_validate
 
 
@@ -32,6 +32,12 @@ LEARN = TrainConfig(
 )
 
 
+def _majority_rate(graphs):
+    """Accuracy of always predicting the most common class."""
+    labels = [g.label for g in graphs]
+    return max(labels.count(c) for c in set(labels)) / len(labels)
+
+
 @pytest.fixture(scope="module")
 def full_run(graphs):
     return cross_validate(graphs, LEARN)
@@ -39,8 +45,7 @@ def full_run(graphs):
 
 def test_learns_planted_motif(graphs, full_run):
     report, _ = full_run
-    stats = dataset_stats(graphs)
-    majority = max(stats.class_counts) / stats.num_graphs
+    majority = _majority_rate(graphs)
     assert majority == 0.5
     assert report.mean_accuracy > majority + 0.15
 
@@ -100,6 +105,4 @@ def test_wall_clock_recorded(full_run):
 
 def test_corrupt_negative_sampling_also_learns(graphs):
     report, _ = cross_validate(graphs, replace(LEARN, variant="mi_corrupt"))
-    stats = dataset_stats(graphs)
-    majority = max(stats.class_counts) / stats.num_graphs
-    assert report.mean_accuracy > majority + 0.1
+    assert report.mean_accuracy > _majority_rate(graphs) + 0.1

@@ -75,6 +75,20 @@ def test_config_validation():
         ("b_com", -2),
         ("beta", float("nan")),
         ("l2", float("nan")),
+        ("seed", -1),
+        # wrong types, as a hand-edited model manifest can hold them
+        ("n", 12.5),
+        ("n", True),
+        ("s", 5.0),
+        ("batch_size", 2.5),
+        ("seed", 1.5),
+        ("b_com", 0.5),
+        ("fold_count", 10.0),
+        ("lr", False),
+        ("lr", "0.1"),
+        ("variant", 3),
+        ("dk", "none"),
+        ("dk", True),
     ],
 )
 def test_config_rejects_malformed_training_settings(field, value):
@@ -324,9 +338,9 @@ def test_explain_sketch_edges_match_the_sketched_graph(dataset, b_com, k):
 
 
 def test_precompute_rejects_negative_categories_without_features():
-    graph = Graph(index=7, label=0, edges=((0, 1),), node_labels=(0, -1))
-    with pytest.raises(ValueError, match="graph 7"):
-        precompute_tensors(graph, 2, 2)
+    # The graph itself rejects the label, so no GraphTensors can hold one.
+    with pytest.raises(ValueError, match="graph 7: node_labels must be non-negative"):
+        Graph(index=7, label=0, edges=((0, 1),), node_labels=(0, -1))
 
 
 def test_precompute_keeps_each_array_at_its_width():
