@@ -1,9 +1,10 @@
 """Command-line interface: train, evaluate, ablate, and explain.
 
-Settings resolve in three layers: built-in defaults, then a ``key=value``
-config file (``--config``), then explicit flags.  Datasets are read from
-``DATA_DIR/NAME/NAME_*.txt`` in the usual benchmark layout; artifacts go
-to ``--out-dir``.
+Each subcommand takes only the settings it reads.  ``train`` and ``ablate``
+layer built-in defaults, a ``key=value`` config file (``--config``) and
+flags; ``evaluate`` and ``explain`` score with the saved model's settings.
+Datasets are read from ``DATA_DIR/NAME/NAME_*.txt`` in the usual benchmark
+layout; artifacts go to ``--out-dir``.
 
 Exit codes: 0 on success, 2 for configuration, dataset-format, and
 missing-file problems, 1 for anything else.  Errors print to stderr.
@@ -14,7 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import dataclass, fields, replace
 
 from .dataset import dataset_stats, make_folds, parse_tu_dataset
 from .errors import ConfigError, DatasetFormatError
@@ -58,11 +59,12 @@ _READERS = {
 }
 
 
-def parse_config_file(path: str) -> dict:
-    """Read UTF-8 ``key = value`` lines; ``#`` starts a comment."""
+def parse_config_file(path: str, unread: tuple[str, ...] = ()) -> dict:
+    """Read UTF-8 ``key = value`` lines (``#`` comments); refuse ``unread`` keys."""
     if not os.path.isfile(path):
         raise FileNotFoundError(f"config file not found: {path}")
     parsers = {field.name: _READERS[field.type] for field in fields(TrainConfig)}
+    parsers.update(dict.fromkeys(_PATH_KEYS, str))
     values: dict = {}
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -80,75 +82,82 @@ def parse_config_file(path: str) -> dict:
             key, _, text = line.partition("=")
             key = key.strip().replace("-", "_")
             text = text.strip()
-            if key in _PATH_KEYS:
-                values[key] = text
-            elif key in parsers:
-                try:
-                    values[key] = parsers[key](text)
-                except ValueError as exc:
-                    raise ConfigError(
-                        f"{path}:{lineno}: bad value for {key}: {text!r}"
-                    ) from exc
-            else:
+            if key in unread:
+                raise ConfigError(f"{path}:{lineno}: {key!r} is not read by this command")
+            if key not in parsers:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            try:
+                values[key] = parsers[key](text)
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {text!r}") from exc
     return values
 
 
-class Settings:
-    def __init__(self, dataset: str, data_dir: str, out_dir: str, config: TrainConfig):
-        self.dataset = dataset
-        self.data_dir = data_dir
-        self.out_dir = out_dir
-        self.config = config
+@dataclass(frozen=True)
+class Paths:
+    dataset: str
+    data_dir: str
+    out_dir: str
 
     @property
     def dataset_dir(self) -> str:
         return os.path.join(self.data_dir, self.dataset)
 
 
-_FLAG_KEYS = ("seed", "variant", "epochs", "k0", "n", "s", "beta", "jobs")
+@dataclass(frozen=True)
+class Settings(Paths):
+    config: TrainConfig
 
 
-def resolve_settings(args: argparse.Namespace) -> Settings:
-    file_values = parse_config_file(args.config) if args.config else {}
+def resolve_paths(args: argparse.Namespace, file_values: dict) -> Paths:
+    """Flags first, then config-file values, then ``data`` and ``out``."""
     dataset = args.dataset or file_values.get("dataset")
     if not dataset:
         raise ConfigError("no dataset specified (use --dataset or a config file)")
     data_dir = args.data_dir or file_values.get("data_dir") or "data"
     out_dir = args.out_dir or file_values.get("out_dir") or "out"
+    return Paths(dataset, data_dir, out_dir)
 
+
+_FLAG_KEYS = ("seed", "variant", "epochs", "k0", "n", "s", "beta", "jobs")
+
+
+def resolve_settings(args: argparse.Namespace) -> Settings:
+    """Defaults < config file < flags, then a dataset preset for unset ``n``
+    and ``s``.  A ``_FLAG_KEYS`` key the command has no flag for is refused."""
+    unread = tuple(key for key in _FLAG_KEYS if key not in args)
+    file_values = parse_config_file(args.config, unread) if args.config else {}
+    paths = resolve_paths(args, file_values)
     overrides = {k: v for k, v in file_values.items() if k not in _PATH_KEYS}
     for key in _FLAG_KEYS:
-        value = getattr(args, key)
+        value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value
-    preset = DATASET_DEFAULTS.get(dataset.upper())
+    preset = DATASET_DEFAULTS.get(paths.dataset.upper())
     if preset is not None:
         overrides.setdefault("n", preset[0])
         overrides.setdefault("s", preset[1])
-    return Settings(dataset, data_dir, out_dir, TrainConfig(**overrides))
+    return Settings(paths.dataset, paths.data_dir, paths.out_dir, TrainConfig(**overrides))
 
 
-def _load_graphs(settings: Settings):
-    if not os.path.isdir(settings.dataset_dir):
-        raise FileNotFoundError(
-            f"dataset directory not found: {settings.dataset_dir}"
-        )
-    return parse_tu_dataset(settings.dataset_dir, settings.dataset)
+def _load_graphs(paths: Paths):
+    if not os.path.isdir(paths.dataset_dir):
+        raise FileNotFoundError(f"dataset directory not found: {paths.dataset_dir}")
+    return parse_tu_dataset(paths.dataset_dir, paths.dataset)
 
 
-def _check_model_fits(settings: Settings, model, graphs) -> None:
+def _check_model_fits(paths: Paths, model, graphs) -> None:
     """Reject, before any forward pass, a dataset with more node categories
     or classes than the saved model's first layer and classifier hold."""
     stats = dataset_stats(graphs)
-    manifest = os.path.join(settings.out_dir, "model.manifest.json")
+    manifest = os.path.join(paths.out_dir, "model.manifest.json")
     for what, need, have in (
         ("node categories", stats.feature_dim, model["encoder.layer0"].shape[0]),
         ("classes", stats.num_classes, model["classifier.w"].shape[1]),
     ):
         if need > have:
             raise ConfigError(
-                f"{settings.dataset_dir} has {need} {what}, but the model in "
+                f"{paths.dataset_dir} has {need} {what}, but the model in "
                 f"{manifest} was trained on {have}"
             )
 
@@ -185,23 +194,15 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    settings = resolve_settings(args)
-    model, saved_config, final_k = load_model(settings.out_dir)
-    graphs = _load_graphs(settings)
-    _check_model_fits(settings, model, graphs)
-    plan = make_folds(graphs, saved_config.seed, saved_config.fold_count)
-    if not 0 <= args.fold < plan.fold_count:
-        raise ConfigError(
-            f"fold {args.fold} out of range 0..{plan.fold_count - 1}"
-        )
-    _, test_ids = plan.split(args.fold)
-    tensors = {
-        i: precompute_tensors(graphs[i], saved_config.n, saved_config.s)
-        for i in test_ids
-    }
-    accuracy = evaluate_accuracy(model, tensors, test_ids, final_k, saved_config)
+    paths = resolve_paths(args, {})
+    model, config, final_k = load_model(paths.out_dir)
+    graphs = _load_graphs(paths)
+    _check_model_fits(paths, model, graphs)
+    _, test_ids = make_folds(graphs, config.seed, config.fold_count).split(args.fold)
+    tensors = {i: precompute_tensors(graphs[i], config.n, config.s) for i in test_ids}
+    accuracy = evaluate_accuracy(model, tensors, test_ids, final_k, config)
     print(
-        f"{settings.dataset} fold {args.fold}: accuracy {accuracy:.4f} "
+        f"{paths.dataset} fold {args.fold}: accuracy {accuracy:.4f} "
         f"({len(test_ids)} graphs, k={final_k:.4f})"
     )
     return 0
@@ -247,37 +248,40 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    settings = resolve_settings(args)
-    model, saved_config, final_k = load_model(settings.out_dir)
-    graphs = _load_graphs(settings)
-    _check_model_fits(settings, model, graphs)
+    paths = resolve_paths(args, {})
+    model, config, final_k = load_model(paths.out_dir)
+    graphs = _load_graphs(paths)
+    _check_model_fits(paths, model, graphs)
     if not 0 <= args.graph_id < len(graphs):
         raise ConfigError(
             f"unknown graph id {args.graph_id} "
             f"(dataset has graphs 0..{len(graphs) - 1})"
         )
     graph = graphs[args.graph_id]
-    detail = explain_graph(model, saved_config, graph, final_k)
-    dot_path = os.path.join(settings.out_dir, f"graph_{graph.index}.dot")
-    json_path = os.path.join(settings.out_dir, f"graph_{graph.index}.json")
+    detail = explain_graph(model, config, graph, final_k)
+    dot_path = os.path.join(paths.out_dir, f"graph_{graph.index}.dot")
+    json_path = os.path.join(paths.out_dir, f"graph_{graph.index}.json")
     write_dot(dot_path, graph, detail)
     write_graph_json(json_path, detail)
     print(
         f"graph {graph.index}: predicted class {detail['predicted_label']} "
         f"(true {detail['true_label']}), kept {detail['selection_count']} "
-        f"of {saved_config.n} subgraphs"
+        f"of {config.n} subgraphs"
     )
     print(f"wrote {dot_path} and {json_path}")
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--dataset", help="dataset name, e.g. MUTAG")
+def _add_paths(parser: argparse.ArgumentParser, required: bool) -> None:
+    parser.add_argument("--dataset", required=required, help="dataset name, e.g. MUTAG")
     parser.add_argument("--data-dir", dest="data_dir", help="dataset root (default: data)")
     parser.add_argument("--out-dir", dest="out_dir", help="artifact directory (default: out)")
+
+
+def _add_training(parser: argparse.ArgumentParser) -> None:
+    _add_paths(parser, required=False)  # a config file may name it
     parser.add_argument("--config", help="key=value settings file")
     parser.add_argument("--seed", type=int, help="base random seed")
-    parser.add_argument("--variant", choices=VARIANTS, help="training variant")
     parser.add_argument("--epochs", type=int, help="epoch budget per fold")
     parser.add_argument("--k0", type=float, help="initial pooling ratio")
     parser.add_argument("--n", type=int, help="subgraphs sampled per graph")
@@ -294,20 +298,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     train = sub.add_parser("train", help="run cross-validated training")
-    _add_common(train)
+    _add_training(train)
+    train.add_argument("--variant", choices=VARIANTS, help="training variant")
     train.set_defaults(func=cmd_train)
 
     evaluate = sub.add_parser("evaluate", help="score a saved model on one fold")
-    _add_common(evaluate)
+    _add_paths(evaluate, required=True)
     evaluate.add_argument("fold", nargs="?", type=int, default=0, help="fold index")
     evaluate.set_defaults(func=cmd_evaluate)
 
     ablate = sub.add_parser("ablate", help="compare all training variants")
-    _add_common(ablate)
+    _add_training(ablate)
     ablate.set_defaults(func=cmd_ablate)
 
     explain = sub.add_parser("explain", help="inspect one graph with a saved model")
-    _add_common(explain)
+    _add_paths(explain, required=True)
     explain.add_argument("graph_id", type=int, help="graph index in the dataset")
     explain.set_defaults(func=cmd_explain)
     return parser

@@ -56,11 +56,11 @@ class Graph:
     any sequence of pairs of ids in ``0..num_nodes - 1``; parsed rows have
     ``u < v`` and come in ``(u, v)`` order.
 
-    ``node_labels`` are the node categories the trainer encodes, as row
-    indices of its first layer, so building a graph with a negative label
-    raises.  :func:`parse_tu_dataset` leaves ``features`` as ``None``.  A
-    hand-built graph may carry any array there, such as a zero-width
-    placeholder; training never reads it.
+    ``node_labels`` (row indices of the first layer) and ``label`` (a class
+    index) must be non-negative integers, or building the graph raises.
+    :func:`parse_tu_dataset` leaves ``features`` as ``None``.  A hand-built
+    graph may carry any array there, such as a zero-width placeholder;
+    training never reads it.
     """
 
     index: int
@@ -79,8 +79,11 @@ class Graph:
             raise ValueError(
                 f"graph {self.index}: edges must be (u, v) pairs of ids in 0..{self.num_nodes - 1}"
             )
-        if min(self.node_labels, default=0) < 0:
-            raise ValueError(f"graph {self.index}: node_labels must be non-negative")
+        labels = np.asarray(self.node_labels)
+        if labels.size and (labels.dtype.kind not in "iu" or labels.min() < 0):
+            raise ValueError(f"graph {self.index}: node_labels must be non-negative integers")
+        if np.asarray(self.label).dtype.kind not in "iu" or self.label < 0:
+            raise ValueError(f"graph {self.index}: label must be a non-negative integer")
         edges.flags.writeable = False
         object.__setattr__(self, "edges", edges)
 
@@ -376,7 +379,7 @@ class FoldPlan:
     def split(self, fold: int) -> tuple[list[int], list[int]]:
         """Return (train_ids, test_ids) for one held-out fold."""
         if not 0 <= fold < self.fold_count:
-            raise ConfigError(f"fold {fold} outside 0..{self.fold_count - 1}")
+            raise ConfigError(f"fold {fold} out of range 0..{self.fold_count - 1}")
         train = [i for i, f in enumerate(self.assignments) if f != fold]
         test = [i for i, f in enumerate(self.assignments) if f == fold]
         return train, test

@@ -37,6 +37,7 @@ import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -545,28 +546,18 @@ def _train_and_test(
     return result
 
 
-def _fold_worker(args) -> FoldResult:
-    graphs, plan, fold, config = args
-    tensors = {g.index: precompute_tensors(g, config.n, config.s) for g in graphs}
-    return _train_and_test(graphs, plan, fold, config, tensors)
-
-
 def cross_validate(
     graphs: list[Graph], config: TrainConfig
 ) -> tuple[RunReport, list[FoldResult]]:
     start = time.perf_counter()
     plan = make_folds(graphs, config.seed, config.fold_count)
-    folds = list(range(config.fold_count))
+    tensors = {g.index: precompute_tensors(g, config.n, config.s) for g in graphs}
+    run_fold = partial(_train_and_test, graphs, plan, config=config, tensors=tensors)
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(
-                pool.map(_fold_worker, [(graphs, plan, f, config) for f in folds])
-            )
+            results = list(pool.map(run_fold, range(config.fold_count)))
     else:
-        tensors = {
-            g.index: precompute_tensors(g, config.n, config.s) for g in graphs
-        }
-        results = [_train_and_test(graphs, plan, f, config, tensors) for f in folds]
+        results = [run_fold(f) for f in range(config.fold_count)]
 
     accuracies = [r.test_accuracy for r in results]
     report = RunReport(

@@ -1,5 +1,6 @@
 """End-to-end command-line tests on a small synthetic dataset."""
 
+import argparse
 import json
 import math
 import os
@@ -114,6 +115,37 @@ def test_directory_defaults():
     assert settings.data_dir == "data"
     assert settings.out_dir == "out"
     assert settings.dataset_dir.endswith("data/X")
+
+
+# --- options per command -------------------------------------------------
+
+PATHS = {"--dataset", "--data-dir", "--out-dir"}
+TRAINING = PATHS | {"--config", "--seed", "--epochs", "--k0", "--n", "--s", "--beta", "--jobs"}
+
+
+def test_each_command_takes_only_the_settings_it_reads():
+    """evaluate and explain score with the saved model's settings, and
+    ablate runs every variant, so none takes a flag it would ignore."""
+    commands = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ).choices
+    options, positionals, required = {}, {}, {}
+    for name, parser in commands.items():
+        actions = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        options[name] = {opt for a in actions for opt in a.option_strings}
+        positionals[name] = [a.dest for a in actions if not a.option_strings]
+        required[name] = {a.option_strings[0] for a in actions if a.required and a.option_strings}
+    assert options == {
+        "train": TRAINING | {"--variant"},
+        "evaluate": PATHS,
+        "ablate": TRAINING,
+        "explain": PATHS,
+    }
+    assert sum(map(len, options.values())) == 29
+    assert positionals == {"train": [], "evaluate": ["fold"], "ablate": [], "explain": ["graph_id"]}
+    # Without a config file, --dataset is the only source of the dataset.
+    assert required == {"train": set(), "evaluate": {"--dataset"}, "ablate": set(), "explain": {"--dataset"}}
 
 
 # --- subcommands on a synthetic dataset ---------------------------------
@@ -473,6 +505,48 @@ def test_invalid_flag_value_exits_with_two(workspace, capsys):
     args = _train_args(workspace, "out_badk", extra=["--k0", "1.5"])
     assert main(args) == 2
     assert "error:" in capsys.readouterr().err
+
+
+_IGNORED = [
+    ("--config", None), ("--seed", "5"), ("--variant", "no_mi"), ("--epochs", "1"),
+    ("--k0", "0.1"), ("--n", "3"), ("--s", "2"), ("--beta", "7"), ("--jobs", "4"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [(c, f, v) for c in ("evaluate", "explain") for f, v in _IGNORED]
+    + [("ablate", "--variant", "no_mi")],
+)
+def test_flag_the_command_does_not_read_exits_two(
+    trained, tmp_path, capsys, command, flag, value
+):
+    root, out = trained
+    if value is None:  # a config file that evaluate and explain would not read
+        value = str(tmp_path / "run.cfg")
+        (tmp_path / "run.cfg").write_text("seed = 3\n")
+    if command == "ablate":  # kept small, since ablate ran in full before
+        head = ["ablate", "--out-dir", str(tmp_path / "ab"), "--n", "4", "--s", "4", "--epochs", "1"]
+    else:
+        head = [command, "0", "--out-dir", str(out)]
+    args = [*head, "--dataset", "SYN", "--data-dir", str(root / "data"), flag, value]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and flag in err
+
+
+def test_ablate_config_file_naming_a_variant_exits_two(workspace, tmp_path, capsys):
+    config = tmp_path / "ablate.cfg"
+    config.write_text("epochs = 1\nvariant = no_mi\n")
+    args = [
+        "ablate", "--config", str(config), "--dataset", "SYN",
+        "--data-dir", str(workspace / "data"), "--out-dir", str(tmp_path / "ab"),
+        "--n", "4", "--s", "4",
+    ]
+    assert main(args) == 2
+    assert f"{config}:2: 'variant' is not read by this command" in capsys.readouterr().err
 
 
 def _relabelled_copy(root, tmp_path, suffix):

@@ -113,6 +113,32 @@ def test_bad_edges_rejected_naming_the_graph(edges, node_labels, message):
         Graph(index=3, label=0, edges=edges, node_labels=node_labels)
 
 
+@pytest.mark.parametrize(
+    "label, node_labels, message",
+    [
+        (-1, (0.7, 1.9, 2), "graph 3: node_labels must be non-negative integers"),
+        (0, (0, 1.0, 2), "graph 3: node_labels must be non-negative integers"),
+        (0, (True, False, True), "graph 3: node_labels must be non-negative integers"),
+        (0, ("0", "1", "2"), "graph 3: node_labels must be non-negative integers"),
+        (-1, (0, 1, 2), "graph 3: label must be a non-negative integer"),
+        (1.5, (0, 1, 2), "graph 3: label must be a non-negative integer"),
+        (1.0, (0, 1, 2), "graph 3: label must be a non-negative integer"),
+        ("1", (0, 1, 2), "graph 3: label must be a non-negative integer"),
+        (True, (0, 1, 2), "graph 3: label must be a non-negative integer"),
+    ],
+)
+def test_labels_that_are_not_non_negative_integers_rejected(label, node_labels, message):
+    with pytest.raises(ValueError, match=message):
+        Graph(index=3, label=label, edges=((0, 1), (1, 2)), node_labels=node_labels)
+
+
+def test_numpy_integer_labels_and_no_nodes_accepted():
+    labels = tuple(np.array([0, 2, 1], dtype=np.uint8))
+    graph = Graph(index=0, label=np.int64(1), edges=((0, 1),), node_labels=labels)
+    assert graph.num_categories == 3
+    assert Graph(index=1, label=0, edges=(), node_labels=()).num_nodes == 0
+
+
 def test_degree_fallback_without_node_labels(tmp_path):
     write_fixture(tmp_path, node_labels=False)
     tri, path = parse_tu_dataset(str(tmp_path), "TOY")

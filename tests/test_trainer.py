@@ -739,7 +739,9 @@ def test_parallel_folds_match_sequential(dataset):
     assert seq_report.trajectories == par_report.trajectories
 
 
-def test_fold_worker_precomputes_each_graph_once(dataset, monkeypatch):
+def test_parallel_folds_share_one_precompute(dataset, monkeypatch):
+    """With ``jobs > 1`` the parent samples every graph once and hands the
+    tensors to the fold workers, which sample nothing themselves."""
     import subsketch.trainer as trainer
 
     calls = []
@@ -750,10 +752,8 @@ def test_fold_worker_precomputes_each_graph_once(dataset, monkeypatch):
         return original(graph, n, s)
 
     monkeypatch.setattr(trainer, "precompute_tensors", counting)
-    config = tiny_config(epochs=1, fold_count=5, seed=6)
-    plan = make_folds(dataset, config.seed, config.fold_count)
-    result = trainer._fold_worker((dataset, plan, 0, config))
-    assert result.test_accuracy is not None
+    report, _ = cross_validate(dataset, tiny_config(epochs=1, fold_count=5, seed=6, jobs=2))
+    assert len(report.fold_accuracies) == 5
     assert sorted(calls) == sorted(g.index for g in dataset)
 
 

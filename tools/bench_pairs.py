@@ -1,0 +1,147 @@
+"""Run the benchmark in alternating parent/change pairs and write BENCH_<label>.json.
+
+Usage, from the repository root::
+
+    python3 tools/bench_pairs.py --parent ../parent --change . --out BENCH_x.json --first-seed 1601
+
+``--parent`` and ``--change`` are git checkouts of the two commits to
+compare; each must have no uncommitted change under ``src/``.  For each
+workload in ``BENCHMARK.json`` the script runs ten pairs of::
+
+    python3 bench/run.py --workload W --seed S --seconds RUN_SECONDS
+
+one side after the other, in the parent's checkout and the change's, with
+the same seed within a pair and a new seed for every pair.  The side that
+runs first alternates from pair to pair, and BLAS is held at one thread.
+Runs go one at a time, so no two compete for the machine.
+
+The output records, per side and workload, every run's result line, the
+median and quartiles of each end-to-end metric, the ``environment`` block
+the runner prints, and the per-layer metrics of one ``--trace 1`` run on
+the workload's first seed.  Each side names its ``commit`` and its
+``src_tree`` (``git rev-parse COMMIT:src``), which identifies the code
+measured even when the commit was made in a throwaway clone.  Per metric,
+``wins`` counts the pairs in which the change read better.  Only the
+standard library is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+PAIRS = 10
+BLAS_ENV = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+def _git(checkout: str, *args: str) -> str:
+    return subprocess.run(
+        ["git", "-C", checkout, *args], check=True, capture_output=True, text=True
+    ).stdout.strip()
+
+
+def describe(checkout: str) -> dict:
+    if _git(checkout, "status", "--porcelain", "--", "src"):
+        sys.exit(f"error: {checkout} has uncommitted changes under src/; commit them first")
+    return {"commit": _git(checkout, "rev-parse", "HEAD"), "src_tree": _git(checkout, "rev-parse", "HEAD:src")}
+
+
+def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One benchmark run; returns its info and result lines."""
+    command = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+               "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(command, cwd=checkout, env={**os.environ, **BLAS_ENV},
+                          capture_output=True, text=True, timeout=1800)
+    if proc.returncode != 0:
+        sys.exit(f"error: {' '.join(command)} exited {proc.returncode} in {checkout}:\n{proc.stderr}")
+    info, result = (json.loads(line) for line in proc.stdout.strip().splitlines()[-2:])
+    return {"seed": seed, "info": info["info"], **result}
+
+
+def brief(run: dict) -> dict:
+    """A run's outcome and metric values, without units."""
+    return {"seed": run["seed"], "correct": run["correct"], "attempted": run["attempted"],
+            "failed": run["failed"], "metrics": {k: v["value"] for k, v in run["metrics"].items()}}
+
+
+def summarize(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def compare(spec: dict, runs: dict) -> dict:
+    """Quartiles per side and the change's wins per end-to-end metric."""
+    out = {side: {"environment": runs[side][0]["info"]["environment"], "metrics": {}}
+           for side in ("parent", "change")}
+    wins = {}
+    for metric in spec["end_to_end"]:
+        name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+        values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in out}
+        for side in out:
+            out[side]["metrics"][name] = {**summarize(values[side]), "unit": metric["unit"]}
+        wins[name] = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
+    return {**out, "wins": wins}
+
+
+def print_table(workload: str, spec: dict, result: dict) -> None:
+    for metric in spec["end_to_end"]:
+        name = metric["name"]
+        p, c = result["parent"]["metrics"][name], result["change"]["metrics"][name]
+        delta = (c["median"] - p["median"]) / p["median"] if p["median"] else 0.0
+        spread = (p["q3"] - p["q1"]) / p["median"] if p["median"] else 0.0
+        print(
+            f"{workload:<14} {name:<19} parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]  "
+            f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]  {delta:+.1%}  "
+            f"wins {result['wins'][name]}/{PAIRS}  spread {spread:.1%}  bound {metric['bound']:.0%}"
+        )
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git checkout of the parent commit")
+    parser.add_argument("--change", required=True, help="git checkout of the change")
+    parser.add_argument("--out", required=True, help="output file, e.g. BENCH_label.json")
+    parser.add_argument("--first-seed", type=int, required=True,
+                        help="seed of the first pair; each later pair takes the next")
+    args = parser.parse_args(argv)
+    sides = {"parent": args.parent, "change": args.change}
+    with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
+        spec = json.load(fh)
+    report = {
+        "command": spec["command"] + ["--workload", "W", "--seed", "S", "--seconds", str(spec["run_seconds"])],
+        "pairs": PAIRS,
+        "quartiles": "statistics.quantiles(n=4, method='inclusive')",
+        "sides": {side: describe(path) for side, path in sides.items()},
+        "workloads": {},
+    }
+    seed = args.first_seed
+    for workload in (w["name"] for w in spec["workloads"]):
+        first_seed = seed
+        runs = {"parent": [], "change": []}
+        for pair in range(PAIRS):
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for side in order:
+                run = run_once(sides[side], workload, seed, spec["run_seconds"])
+                runs[side].append(run)
+                print(f"{workload} seed {seed} {side}: correct={run['correct']} "
+                      f"failed={run['failed']}", file=sys.stderr, flush=True)
+            seed += 1
+        result = compare(spec, runs)
+        for side in runs:
+            result[side]["runs"] = [brief(r) for r in runs[side]]
+            traced = run_once(sides[side], workload, first_seed, spec["run_seconds"], trace=1)
+            result[side]["traced"] = brief(traced)
+        report["workloads"][workload] = result
+        print_table(workload, spec, result)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
