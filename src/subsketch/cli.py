@@ -20,13 +20,7 @@ from dataclasses import dataclass, fields, replace
 from .dataset import dataset_stats, make_folds, parse_tu_dataset
 from .errors import ConfigError, DatasetFormatError
 from .explain import explain_graph, write_dot, write_graph_json
-from .persist import (
-    load_model,
-    save_model,
-    write_ablation,
-    write_report,
-    write_trajectory,
-)
+from .persist import load_model, save_model, write_csv, write_report
 from .trainer import (
     VARIANTS,
     TrainConfig,
@@ -146,9 +140,13 @@ def _load_graphs(paths: Paths):
     return parse_tu_dataset(paths.dataset_dir, paths.dataset)
 
 
-def _check_model_fits(paths: Paths, model, graphs) -> None:
-    """Reject, before any forward pass, a dataset with more node categories
-    or classes than the saved model's first layer and classifier hold."""
+def _open_saved(args: argparse.Namespace):
+    """``(paths, model, config, final_k, graphs)`` for a saved model, refusing
+    before any forward pass a dataset with more node categories or classes
+    than the model's first layer and classifier hold."""
+    paths = resolve_paths(args, {})
+    model, config, final_k = load_model(paths.out_dir)
+    graphs = _load_graphs(paths)
     stats = dataset_stats(graphs)
     manifest = os.path.join(paths.out_dir, "model.manifest.json")
     for what, need, have in (
@@ -160,6 +158,7 @@ def _check_model_fits(paths: Paths, model, graphs) -> None:
                 f"{paths.dataset_dir} has {need} {what}, but the model in "
                 f"{manifest} was trained on {have}"
             )
+    return paths, model, config, final_k, graphs
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -175,8 +174,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         final_ks=[r.final_k for r in results],
         stopped_epochs=[r.stopped_epoch for r in results],
     )
-    write_trajectory(
-        os.path.join(settings.out_dir, "trajectory.csv"), report.trajectories
+    write_csv(
+        os.path.join(settings.out_dir, "trajectory.csv"),
+        [row for rows in report.trajectories for row in rows],
     )
     best = max(results, key=lambda r: (r.test_accuracy, -r.fold))
     save_model(
@@ -194,10 +194,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    paths = resolve_paths(args, {})
-    model, config, final_k = load_model(paths.out_dir)
-    graphs = _load_graphs(paths)
-    _check_model_fits(paths, model, graphs)
+    paths, model, config, final_k, graphs = _open_saved(args)
     _, test_ids = make_folds(graphs, config.seed, config.fold_count).split(args.fold)
     tensors = {i: precompute_tensors(graphs[i], config.n, config.s) for i in test_ids}
     accuracy = evaluate_accuracy(model, tensors, test_ids, final_k, config)
@@ -227,11 +224,11 @@ def cmd_ablate(args: argparse.Namespace) -> int:
                 "std_accuracy": report.std_accuracy,
             }
         )
-        write_trajectory(
+        write_csv(
             os.path.join(settings.out_dir, f"trajectory_{variant}.csv"),
-            report.trajectories,
+            [row for rows in report.trajectories for row in rows],
         )
-    write_ablation(os.path.join(settings.out_dir, "ablation.csv"), rows)
+    write_csv(os.path.join(settings.out_dir, "ablation.csv"), rows)
     lines = [f"{settings.dataset} ablation ({settings.config.fold_count} folds)"]
     for row in rows:
         lines.append(
@@ -248,10 +245,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    paths = resolve_paths(args, {})
-    model, config, final_k = load_model(paths.out_dir)
-    graphs = _load_graphs(paths)
-    _check_model_fits(paths, model, graphs)
+    paths, model, config, final_k, graphs = _open_saved(args)
     if not 0 <= args.graph_id < len(graphs):
         raise ConfigError(
             f"unknown graph id {args.graph_id} "
@@ -300,26 +294,28 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("train", help="run cross-validated training")
     _add_training(train)
     train.add_argument("--variant", choices=VARIANTS, help="training variant")
-    train.set_defaults(func=cmd_train)
+    train.set_defaults(func=cmd_train, parser=train)
 
     evaluate = sub.add_parser("evaluate", help="score a saved model on one fold")
     _add_paths(evaluate, required=True)
     evaluate.add_argument("fold", nargs="?", type=int, default=0, help="fold index")
-    evaluate.set_defaults(func=cmd_evaluate)
+    evaluate.set_defaults(func=cmd_evaluate, parser=evaluate)
 
     ablate = sub.add_parser("ablate", help="compare all training variants")
     _add_training(ablate)
-    ablate.set_defaults(func=cmd_ablate)
+    ablate.set_defaults(func=cmd_ablate, parser=ablate)
 
     explain = sub.add_parser("explain", help="inspect one graph with a saved model")
     _add_paths(explain, required=True)
     explain.add_argument("graph_id", type=int, help="graph index in the dataset")
-    explain.set_defaults(func=cmd_explain)
+    explain.set_defaults(func=cmd_explain, parser=explain)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:  # refused by the subcommand, so show its usage
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.func(args)
     except (ConfigError, DatasetFormatError, FileNotFoundError) as exc:

@@ -7,6 +7,10 @@ configuration plus the final pooling ratio.  Loading checks that list
 against ``param_spec``.  The split keeps the dump trivially readable from
 any language.  Reports deliberately exclude wall-clock time so repeated
 runs with one seed produce byte-identical files.
+
+Every CSV artifact goes through :func:`write_csv`: a header of the first
+row's keys, one ``\\r\\n``-ended line per row, floats as ``%.10g``, bools
+as 0/1 and ``None`` as an empty cell.
 """
 
 from __future__ import annotations
@@ -130,40 +134,19 @@ def write_report(
     write_json(path, payload)
 
 
-TRAJECTORY_FIELDS = ("fold", "epoch", "loss", "train_acc", "k", "reward", "terminated")
+def _cell(value):
+    if isinstance(value, float):
+        return f"{value:.10g}"
+    return int(value) if isinstance(value, bool) else value  # csv writes None as ""
 
 
-def write_trajectory(path: str, trajectories: list[list[dict]]) -> None:
+def write_csv(path: str, rows: list[dict]) -> None:
+    """Rows of one set of keys, in the layout of every CSV artifact."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=TRAJECTORY_FIELDS)
-        writer.writeheader()
-        for rows in trajectories:
-            for row in rows:
-                out = dict(row)
-                out["loss"] = f"{row['loss']:.10g}"
-                out["train_acc"] = f"{row['train_acc']:.10g}"
-                out["k"] = f"{row['k']:.10g}"
-                out["reward"] = (
-                    "" if row["reward"] is None else f"{row['reward']:.10g}"
-                )
-                out["terminated"] = int(row["terminated"])
-                writer.writerow(out)
-
-
-def write_ablation(path: str, rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=("variant", "mean_accuracy", "std_accuracy")
-        )
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         for row in rows:
-            writer.writerow(
-                {
-                    "variant": row["variant"],
-                    "mean_accuracy": f"{row['mean_accuracy']:.10g}",
-                    "std_accuracy": f"{row['std_accuracy']:.10g}",
-                }
-            )
+            writer.writerow({key: _cell(value) for key, value in row.items()})
 
 
 def write_json(path: str, payload: dict) -> None:

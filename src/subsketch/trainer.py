@@ -546,6 +546,18 @@ def _train_and_test(
     return result
 
 
+_worker_run_fold = None  # a pool worker's fold function, set as the worker starts
+
+
+def _start_worker(run_fold) -> None:
+    global _worker_run_fold
+    _worker_run_fold = run_fold
+
+
+def _run_worker_fold(fold: int) -> FoldResult:
+    return _worker_run_fold(fold)
+
+
 def cross_validate(
     graphs: list[Graph], config: TrainConfig
 ) -> tuple[RunReport, list[FoldResult]]:
@@ -554,8 +566,12 @@ def cross_validate(
     tensors = {g.index: precompute_tensors(g, config.n, config.s) for g in graphs}
     run_fold = partial(_train_and_test, graphs, plan, config=config, tensors=tensors)
     if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(run_fold, range(config.fold_count)))
+        # Each worker gets the graphs and tensors once, as it starts, and the
+        # folds one at a time, since early stopping makes their lengths differ.
+        with ProcessPoolExecutor(
+            config.jobs, initializer=_start_worker, initargs=(run_fold,)
+        ) as pool:
+            results = list(pool.map(_run_worker_fold, range(config.fold_count)))
     else:
         results = [run_fold(f) for f in range(config.fold_count)]
 

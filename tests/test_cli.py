@@ -1,6 +1,8 @@
 """End-to-end command-line tests on a small synthetic dataset."""
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -22,7 +24,7 @@ from subsketch.cli import (
     parse_config_file,
     resolve_settings,
 )
-from subsketch.dataset import make_folds, parse_tu_dataset, write_tu_dataset
+from subsketch.dataset import Graph, make_folds, parse_tu_dataset, write_tu_dataset
 from subsketch.errors import ConfigError
 from subsketch.persist import load_model
 from subsketch.trainer import VARIANTS
@@ -535,6 +537,7 @@ def test_flag_the_command_does_not_read_exits_two(
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "unrecognized arguments" in err and flag in err
+    assert f"usage: subsketch {command} " in err  # the subcommand's usage
 
 
 def test_ablate_config_file_naming_a_variant_exits_two(workspace, tmp_path, capsys):
@@ -757,3 +760,123 @@ def test_explain_unknown_graph_id(trained, capsys):
     ]
     assert main(args) == 2
     assert "unknown graph id" in capsys.readouterr().err
+
+
+# --- whole runs on generated datasets -----------------------------------
+
+_TU_FILES = ("A.txt", "graph_indicator.txt", "graph_labels.txt", "node_labels.txt")
+# Each corruption and the files it may hit.  A missing node-label file is
+# no corruption, since the parser then falls back to degrees.
+_CORRUPTIONS = {
+    "missing": _TU_FILES[:3],
+    "ragged": _TU_FILES,
+    "non_ascii": _TU_FILES,
+    "label_count": _TU_FILES[2:],
+    "cross_edge": _TU_FILES[:1],
+}
+
+
+@st.composite
+def tu_runs(draw):
+    """A small 2-class TU dataset, run settings, and at most one corruption
+    as ``(kind, suffix, line index)``."""
+    sizes = draw(st.lists(st.integers(2, 8), min_size=6, max_size=12))
+    labels = draw(st.permutations([i % 2 for i in range(len(sizes))]))
+    graphs = []
+    for index, (size, label) in enumerate(zip(sizes, labels)):
+        ids = st.integers(0, size - 1)
+        edges = draw(st.lists(st.tuples(ids, ids), max_size=2 * size))
+        node_labels = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+        graphs.append(Graph(index, label, edges, tuple(node_labels)))
+    flags = [
+        "--n", str(draw(st.integers(1, 5))), "--s", str(draw(st.integers(1, 6))),
+        "--seed", str(draw(st.integers(0, 3))),
+    ]
+    kind = draw(st.sampled_from([None, *_CORRUPTIONS]))
+    if kind is None:
+        return graphs, flags, None
+    return graphs, flags, (kind, draw(st.sampled_from(_CORRUPTIONS[kind])), draw(st.integers(0, 200)))
+
+
+def _corrupt(dataset_dir, kind, suffix, at):
+    """Apply one corruption; return the file name and the 1-based line it
+    reports, or None where the message names no line."""
+    name = f"SYN_{suffix}"
+    path = os.path.join(dataset_dir, name)
+    if kind == "missing":
+        os.remove(path)
+        return name, None
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    line = None
+    if kind == "label_count":  # one label too few
+        lines.pop()
+    elif kind == "cross_edge":  # the first node and the last are in different graphs
+        with open(os.path.join(dataset_dir, "SYN_graph_indicator.txt"), "rb") as fh:
+            nodes = len(fh.read().splitlines())
+        lines.append(b"1, %d" % nodes)
+        line = len(lines)
+    elif not lines:  # an edge file with no edges: add the bad row
+        lines.append(b"1, 1, 1" if kind == "ragged" else b"1, 1\xe9")
+        line = 1
+    else:
+        line = at % len(lines) + 1
+        lines[line - 1] += b", 1" if kind == "ragged" else b"\xe9"
+    with open(path, "wb") as fh:
+        fh.write(b"".join(row + b"\n" for row in lines))
+    return name, line
+
+
+def _run(args):
+    """``main(args)``'s exit status and stderr, checked against the CLI's
+    contract: 0, 2, or 1 only for a diverged training run."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        status = main(args)
+    err = err.getvalue()
+    assert status in (0, 2) or status == 1 and "training diverged" in err, (args, status, err)
+    return status, err
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(tu_runs())
+def test_generated_datasets_run_or_exit_two(run):
+    """train, evaluate 0 and explain 0 on generated TU directories: a valid
+    one trains to byte-identical artifacts when repeated with its seed, and
+    a corrupted one exits 2 naming the file (and the line, where there is
+    one)."""
+    graphs, flags, corruption = run
+    with tempfile.TemporaryDirectory() as tmp:
+        write_tu_dataset(graphs, os.path.join(tmp, "data", "SYN"), "SYN")
+        config = os.path.join(tmp, "run.cfg")
+        with open(config, "w", encoding="utf-8") as fh:
+            fh.write("fold_count = 2\n")
+
+        def command(name, data, out, *rest):
+            common = ["--dataset", "SYN", "--data-dir", os.path.join(tmp, data),
+                      "--out-dir", os.path.join(tmp, out)]
+            if name == "train":
+                return ["train", *common, "--config", config, "--epochs", "1", *flags]
+            return [name, *rest, *common]
+
+        first, _ = _run(command("train", "data", "out"))
+        if first == 0:
+            assert _run(command("train", "data", "again"))[0] == 0
+            for artifact in ("report.json", "trajectory.csv", "model.bin"):
+                with open(os.path.join(tmp, "out", artifact), "rb") as a, \
+                        open(os.path.join(tmp, "again", artifact), "rb") as b:
+                    assert a.read() == b.read(), artifact
+            assert _run(command("evaluate", "data", "out", "0"))[0] == 0
+            assert _run(command("explain", "data", "out", "0"))[0] == 0
+        if corruption is None:
+            return
+        kind, suffix, at = corruption
+        shutil.copytree(os.path.join(tmp, "data"), os.path.join(tmp, "bad"))
+        name, line = _corrupt(os.path.join(tmp, "bad", "SYN"), kind, suffix, at)
+        where = name if line is None else f"{name}:{line}"
+        runs = [command("train", "bad", "bad_out")]
+        if first == 0:  # a saved model to open, so the dataset is read
+            runs += [command("evaluate", "bad", "out", "0"), command("explain", "bad", "out", "0")]
+        for args in runs:
+            status, err = _run(args)
+            assert status == 2 and where in err, (args, err)

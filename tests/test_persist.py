@@ -11,9 +11,8 @@ from subsketch.persist import (
     SCHEMA_VERSION,
     load_model,
     save_model,
-    write_ablation,
+    write_csv,
     write_report,
-    write_trajectory,
 )
 from subsketch.trainer import RunReport, TrainConfig, init_model
 
@@ -130,7 +129,7 @@ def test_trajectory_round_trip(tmp_path):
          "k": 0.25, "reward": -1.0, "terminated": True},
     ]
     path = tmp_path / "trajectory.csv"
-    write_trajectory(str(path), [rows[:2], rows[2:]])
+    write_csv(str(path), rows)
     assert read_trajectory(str(path)) == rows
 
 
@@ -140,8 +139,36 @@ def test_ablation_csv(tmp_path):
         {"variant": "no_mi", "mean_accuracy": 0.75, "std_accuracy": 0.1},
     ]
     path = tmp_path / "ablation.csv"
-    write_ablation(str(path), rows)
+    write_csv(str(path), rows)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "variant,mean_accuracy,std_accuracy"
     assert len(lines) == 3
     assert lines[1].startswith("full,0.875")
+
+
+def test_csv_bytes_are_the_trajectory_and_ablation_layout(tmp_path):
+    """The exact bytes the separate trajectory and ablation writers wrote
+    before ``write_csv`` replaced both: rounded floats, ints, bools as 0/1,
+    None as an empty cell, strings as they are, and ``\\r\\n`` line ends."""
+    trajectory = [
+        {"fold": 1, "epoch": 12, "loss": 0.7500000000000002, "train_acc": 2 / 3,
+         "k": 0.1 + 0.2, "reward": None, "terminated": True},
+        {"fold": 1, "epoch": 13, "loss": 1e-12, "train_acc": 1.0,
+         "k": 0.25, "reward": -1, "terminated": False},
+    ]
+    ablation = [
+        {"variant": "full", "mean_accuracy": 0.7500000000000002, "std_accuracy": 0.0},
+        {"variant": "no_mi", "mean_accuracy": 1 / 3, "std_accuracy": 123456.789012345},
+    ]
+    write_csv(str(tmp_path / "trajectory.csv"), trajectory)
+    write_csv(str(tmp_path / "ablation.csv"), ablation)
+    assert (tmp_path / "trajectory.csv").read_bytes() == (
+        b"fold,epoch,loss,train_acc,k,reward,terminated\r\n"
+        b"1,12,0.75,0.6666666667,0.3,,1\r\n"
+        b"1,13,1e-12,1,0.25,-1,0\r\n"
+    )
+    assert (tmp_path / "ablation.csv").read_bytes() == (
+        b"variant,mean_accuracy,std_accuracy\r\n"
+        b"full,0.75,0\r\n"
+        b"no_mi,0.3333333333,123456.789\r\n"
+    )

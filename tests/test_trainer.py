@@ -1,5 +1,6 @@
 import tracemalloc
-from dataclasses import replace
+from collections import Counter
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -755,6 +756,21 @@ def test_parallel_folds_share_one_precompute(dataset, monkeypatch):
     report, _ = cross_validate(dataset, tiny_config(epochs=1, fold_count=5, seed=6, jobs=2))
     assert len(report.fold_accuracies) == 5
     assert sorted(calls) == sorted(g.index for g in dataset)
+
+
+def test_parallel_folds_send_the_graphs_once_per_worker(dataset, monkeypatch):
+    """The fold payload goes to each of the 2 workers at most once, not
+    with each of the 4 folds."""
+    pickled = Counter()
+
+    def counting_reduce(graph):
+        pickled[graph.index] += 1
+        return type(graph), tuple(getattr(graph, f.name) for f in fields(graph))
+
+    monkeypatch.setattr(Graph, "__reduce__", counting_reduce)
+    report, _ = cross_validate(dataset, tiny_config(epochs=1, fold_count=4, seed=6, jobs=2))
+    assert len(report.fold_accuracies) == 4
+    assert max(pickled.values(), default=0) <= 2
 
 
 def test_training_beats_majority_rate(dataset):
