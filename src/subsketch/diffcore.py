@@ -11,7 +11,12 @@ decides whether anything is kept for backward: a forward-only tape
 (``record=False``) returns nodes with no operands and no backward rule and
 keeps no list of them, so each intermediate array is freed as soon as the
 forward drops it, and its ``backward`` raises.  Evaluation and explain run
-on such a tape.
+on such a tape.  A recording tape runs backward once: reverse mode releases
+each non-parameter node's gradient and backward rule, with the arrays the
+rule holds, as soon as the rule has run, so afterwards only the node values
+and the parameter gradients remain, and a second ``backward`` raises.  An
+op defined outside this module, such as the fused subgraph encoder in
+``encoder``, records its node through ``Tape._record`` like every op here.
 
 Gathers know their index pattern: ``take_rows`` slices a contiguous
 ``range`` and zero-pads its gradient, ``repeat_rows`` repeats each row in
@@ -80,6 +85,7 @@ class Tape:
         self.params: list[Node] = []
         self.training = training
         self.record = record
+        self.spent = False  # set once backward has run
 
     # ------------------------------------------------------------------ leaves
 
@@ -404,23 +410,31 @@ class Tape:
 
         Parameters not reachable from the loss get an exact zero gradient.
         Returns {param_node: gradient}, a view of each node's ``grad``.
+        A tape runs backward once: each other node's gradient and backward
+        rule (with the arrays it holds) are released as soon as the rule has
+        run, so a second call raises.
         """
         if not self.record:
             raise ValueError(
                 "backward needs a recording tape; this one was made with "
                 "record=False and kept nothing for backward"
             )
+        if self.spent:
+            raise ValueError("backward already ran on this tape; a tape runs backward once")
         if loss.value.shape != (1, 1):
             raise ValueError(
                 f"backward needs a scalar (1x1) loss, got shape {loss.value.shape}"
             )
-        for node in self.nodes:
-            node.grad = None
+        self.spent = True
         loss.grad = np.ones((1, 1))
         for node in reversed(self.nodes):
-            if node.grad is None or node.backward_rule is None:
+            if node.is_param:
                 continue
-            for parent, g in zip(node.parents, node.backward_rule(node.grad)):
+            grad, rule = node.grad, node.backward_rule
+            node.grad = node.backward_rule = None
+            if grad is None or rule is None:
+                continue
+            for parent, g in zip(node.parents, rule(grad)):
                 # No rule returns a value array and no accumulation is in
                 # place, so a first gradient can alias the rule's output.
                 if parent.grad is None:

@@ -45,7 +45,7 @@ def explain_graph(
     values = state.values.value[:, 0]
     gates = state.gates.value[:, 0]
     sub_dists = result.sub_dists.value
-    intra = state.intra_weights.value
+    intra = state.intra_weights
     selected = state.selected[0].tolist()
     ss = tensors.subgraph_set
     members = [row[real].tolist() for row, real in zip(ss.nodes, ss.mask)]

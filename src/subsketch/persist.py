@@ -4,7 +4,7 @@ A model is stored as two files: ``model.bin``, the model's arrays in
 ``param_spec`` order concatenated flat as little-endian float64, and
 ``model.manifest.json`` naming each array, its shape, and the training
 configuration plus the final pooling ratio.  Loading checks that list
-against ``param_spec``.  The split keeps the dump trivially readable from
+against ``param_spec`` and rejects any value that is not finite.  The split keeps the dump trivially readable from
 any language.  Reports deliberately exclude wall-clock time so repeated
 runs with one seed produce byte-identical files.
 
@@ -114,6 +114,8 @@ def load_model(out_dir: str) -> tuple[ModelParams, TrainConfig, float]:
     for (name, shape), size in zip(spec, sizes):
         model[name] = flat[cursor : cursor + size].reshape(shape)
         cursor += size
+        if not np.isfinite(model[name]).all():
+            raise ConfigError(f"{bin_path}: array {name} holds a NaN or an infinity")
     return model, config, float(final_k)
 
 

@@ -2,24 +2,28 @@
 ratio-tuning agent stepped between epochs and 10-fold cross-validation.
 
 The forward pass is fully batched for CPU efficiency: every subgraph of
-every graph in the batch lives in one big tape, with block-diagonal
-propagation for the per-subgraph convolutions.  Node features are one-hot
-categories, so the first layer's product X W0 is a row lookup of W0 by each
-node's category; no dense feature block is built, and ``Graph.features`` is
-never read.  A graph's constants are fixed-shape arrays built once
-(:func:`precompute_tensors`): (n, s, s) propagation blocks and (n*s,)
-categories (``Graph`` checks its labels) beside its :class:`SubgraphSet`.
-The pipeline is given a batch's stacked categories, real or shuffled, and
-derives intra-attention offsets from the stacked subgraph masks.  Every graph
-keeps the same number M of supernodes, so the selection is one (B, M) array
-of subgraph indices, supernode rows are grouped by graph, and sketch
-attention runs under one (B*M, M) mask, one M x M block per graph, never
-forming cross-graph pairs.  Top-k ranking and sketched-graph construction run
-per graph on plain numpy values between tape ops; the forward keeps only the
-selection and that mask.  The vote cross-entropy is one log-space tape op on
-the subgraph logits (``Tape.vote_nll``).
+every graph in the batch lives in one big tape.  The node encoder (both
+convolutions, dropout and intra-attention, with block-diagonal propagation
+for the per-subgraph convolutions) is one tape node,
+:func:`~.encoder.encode_subgraphs`, whose backward skips the subgraphs that
+top-k pooling left out.  Node features are one-hot categories, so the first
+layer's product X W0 is a row lookup of W0 by each node's category; no dense
+feature block is built, and ``Graph.features`` is never read.  A graph's
+constants are fixed-shape arrays built once (:func:`precompute_tensors`):
+(n, s, s) propagation blocks and (n*s,) categories (``Graph`` checks its
+labels) beside its :class:`SubgraphSet`.  The pipeline is given a batch's
+stacked categories, real or shuffled, and hands the encoder the stacked
+subgraph masks.  Every graph keeps the same number M of supernodes, so the
+selection is one (B, M) array of subgraph indices, supernode rows are
+grouped by graph, and sketch attention runs under one (B*M, M) mask, one
+M x M block per graph, never forming cross-graph pairs.  Top-k ranking and
+sketched-graph construction run per graph on plain numpy values between
+tape ops; the forward keeps only the selection and that mask.  The vote
+cross-entropy is one log-space tape op on the subgraph logits
+(``Tape.vote_nll``).
 
-A training step records its forward on a ``Tape`` and runs backward on it.
+A training step records its forward on a ``Tape`` and runs backward on it
+once; backward frees each gradient as soon as it is used.
 :func:`evaluate_accuracy` runs the same forward, dropout off, on a
 forward-only ``Tape(training=False, record=False)`` that keeps nothing for
 backward, so each batch's intermediates are freed as the forward goes.
@@ -42,8 +46,8 @@ from functools import partial
 import numpy as np
 
 from .dataset import FoldPlan, Graph, batches, dataset_stats, make_folds
-from .diffcore import MASK_OFF, Node, Tape
-from .encoder import glorot, propagation_matrix, subgraph_features
+from .diffcore import Node, Tape
+from .encoder import encode_subgraphs, glorot, propagation_matrix, subgraph_features
 from .errors import ConfigError, TrainingDiverged
 from .pooling import PoolingAgent, annealed_epsilon, rank_topk
 from .sampler import SubgraphSet, build_sketched_graph, sample_subgraphs
@@ -223,14 +227,16 @@ def sgd_momentum_step(
 
 @dataclass(eq=False)
 class PipelineState:
-    """Tape nodes and selection arrays from one selection pipeline.
+    """Tape nodes and plain arrays from one selection pipeline.
 
-    Supernode rows (``gates``, ``z_primes``, ``mask``) are grouped by graph:
-    graph b owns rows [b*M, (b+1)*M), in the order of ``selected[b]``.
+    ``intra_weights`` is a plain array: the encoder's gradient flows through
+    its embeddings, and only ``explain`` reads the weights.  Supernode rows
+    (``gates``, ``z_primes``, ``mask``) are grouped by graph: graph b owns
+    rows [b*M, (b+1)*M), in the order of ``selected[b]``.
     """
 
     values: Node  # (B*n, 1) projection scores
-    intra_weights: Node  # (B*n, s)
+    intra_weights: np.ndarray  # (B*n, s) intra-attention weights
     selected: np.ndarray  # (B, M) kept subgraph indices per graph, best first
     gates: Node  # (B*M, 1)
     mask: np.ndarray  # (B*M, M) sketch attention: 0 on sketch edges and the diagonal
@@ -247,33 +253,15 @@ def _run_pipeline(
     rng: np.random.Generator | None,
 ) -> PipelineState:
     """``feats`` is the (B*n*s,) node category of every stacked row."""
-    n, s = config.n, config.s
-    batch = len(tensors)
-    m = batch * n
-    prop = np.concatenate([t.prop_blocks for t in tensors])
-    attn_off = np.where(
-        np.concatenate([t.subgraph_set.mask for t in tensors]), 0.0, MASK_OFF
-    )
-
-    # Message passing over all subgraphs at once (block-diagonal propagation).
-    # Layer 0 looks up W0's row for each node's category, which is X W0 for
-    # one-hot X.  Pad rows read category 0 instead of a zero row; this is
-    # exact because the propagation blocks' pad rows and columns are zero.
-    h = tape.tanh(
-        tape.block_diag_matmul(prop, tape.take_rows(bound["encoder.layer0"], feats))
-    )
-    if config.dropout > 0.0:
-        h = tape.dropout(h, config.dropout, rng)
-    h = tape.tanh(tape.block_diag_matmul(prop, tape.matmul(h, bound["encoder.layer1"])))
-
-    # Intra-subgraph attention -> one embedding per subgraph.
+    n, batch = config.n, len(tensors)
     direction = tape.matmul(
         tape.transpose(bound["encoder.w_intra"]), bound["encoder.a_intra"]
     )
-    scores = tape.tanh(tape.matmul(h, direction))  # (m*s, 1)
-    grid = tape.add(tape.reshape(scores, m, s), tape.constant(attn_off))
-    intra_weights = tape.softmax_rows(grid)
-    embeddings = tape.rowblock_weighted_sum(intra_weights, h)  # (m, d1)
+    embeddings, intra_weights = encode_subgraphs(
+        tape, bound["encoder.layer0"], bound["encoder.layer1"], direction,
+        np.concatenate([t.prop_blocks for t in tensors]), feats,
+        np.concatenate([t.subgraph_set.mask for t in tensors]), config.dropout, rng,
+    )
 
     # Projection scores; the norm stays on the tape so p trains through it.
     p = bound["pool.p"]

@@ -223,6 +223,30 @@ def intra_attention(h: Node, mask: np.ndarray, enc: Encoder, tape: Tape) -> Node
     return tape.matmul(intra_attention_weights(h, mask, enc, tape), h)
 
 
+def encoder_chain(
+    tape: Tape,
+    layer0: Node,
+    layer1: Node,
+    direction: Node,
+    prop: np.ndarray,
+    feats: np.ndarray,
+    real: np.ndarray,
+    dropout: float = 0.0,
+    rng: np.random.Generator | None = None,
+) -> tuple[Node, Node]:
+    """``encoder.encode_subgraphs`` as the 14 tape ops it fuses, in their
+    order: returns the (m, d1) embeddings and the (m, s) intra weights."""
+    m, s, _ = prop.shape
+    h = tape.tanh(tape.block_diag_matmul(prop, tape.take_rows(layer0, feats)))
+    if dropout > 0.0:
+        h = tape.dropout(h, dropout, rng)
+    h = tape.tanh(tape.block_diag_matmul(prop, tape.matmul(h, layer1)))
+    scores = tape.tanh(tape.matmul(h, direction))
+    grid = tape.add(tape.reshape(scores, m, s), tape.constant(np.where(real, 0.0, MASK_OFF)))
+    weights = tape.softmax_rows(grid)
+    return tape.rowblock_weighted_sum(weights, h), weights
+
+
 # --------------------------------------------------------------- pooling
 
 

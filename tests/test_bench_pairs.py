@@ -1,0 +1,83 @@
+"""``tools/bench_pairs.py``: its verdict per metric, and its refusal of a
+run that is not correct."""
+
+import importlib.util
+import json
+import os
+
+import pytest
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", os.path.join(ROOT, "tools", "bench_pairs.py")
+)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+verdict = bench_pairs.verdict
+
+PARENT = [100.0, 101.0, 99.0, 100.5, 99.5, 100.2, 99.8, 100.1, 99.9, 100.3]
+
+
+def test_nine_wins_beyond_the_quartile_spread_is_a_gain():
+    change = [p - 12.0 for p in PARENT]
+    change[4] = PARENT[4] + 1.0  # one lost pair
+    assert verdict(PARENT, change, "lower", 0.05) == "gain"
+    assert verdict(PARENT, change, "higher", 0.05) == "worse"
+    assert verdict(PARENT, change, "higher", 0.25) == "within bound"
+
+
+def test_eight_wins_are_no_gain():
+    change = [p - 12.0 for p in PARENT]
+    change[3] = change[4] = 200.0
+    assert bench_pairs.count_wins(PARENT, change, "lower") == 8
+    assert verdict(PARENT, change, "lower", 0.25) == "within bound"
+
+
+def test_a_change_inside_the_quartile_spread_is_no_gain():
+    # Every pair won, but by less than the parent's q3 - q1.
+    change = [p - 0.05 for p in PARENT]
+    assert verdict(PARENT, change, "lower", 0.05) == "within bound"
+
+
+def test_ties_count_for_neither_side():
+    assert bench_pairs.count_wins(PARENT, PARENT, "higher") == 0
+    assert verdict(PARENT, list(PARENT), "higher", 0.02) == "within bound"
+
+
+def test_worse_by_more_than_the_bound():
+    assert verdict(PARENT, [p * 1.3 for p in PARENT], "lower", 0.25) == "worse"
+    assert verdict(PARENT, [p * 1.2 for p in PARENT], "lower", 0.25) == "within bound"
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    wide = [60.0, 70.0, 80.0, 90.0, 100.0, 100.0, 110.0, 120.0, 130.0, 140.0]
+    overlapping = [w * 0.7 + 10.0 for w in wide]
+    assert verdict(wide, overlapping, "higher", 0.25) == "unresolved"
+    # Unless one side's runs all beat the other's.
+    below = [40.0 + i for i in range(10)]
+    assert verdict(wide, below, "higher", 0.25) == "worse"
+
+
+def _fake_checkout(tmp_path, correct, failed):
+    bench = tmp_path / "bench"
+    bench.mkdir()
+    info = {"info": {"environment": {}}}
+    result = {"correct": correct, "attempted": 5, "failed": failed, "metrics": {}}
+    (bench / "run.py").write_text(
+        f"print({json.dumps(json.dumps(info))})\nprint({json.dumps(json.dumps(result))})\n"
+    )
+    return str(tmp_path)
+
+
+@pytest.mark.parametrize("correct, failed", [(False, 0), (True, 2), (False, 1)])
+def test_a_run_that_is_not_correct_stops_the_script(tmp_path, correct, failed):
+    checkout = _fake_checkout(tmp_path, correct, failed)
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.run_once(checkout, "mutag_train", 1, 0.1)
+    assert stop.value.code != 0
+    assert f"correct={correct} with {failed} failed operations" in str(stop.value.code)
+
+
+def test_a_correct_run_is_returned(tmp_path):
+    run = bench_pairs.run_once(_fake_checkout(tmp_path, True, 0), "mutag_train", 3, 0.1)
+    assert run["seed"] == 3 and run["correct"] is True and run["failed"] == 0

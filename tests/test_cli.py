@@ -401,6 +401,35 @@ def test_damaged_model_files_load_or_exit_two(trained, target, truncate, where, 
             assert _evaluate_exit(root, tmp) == 2
 
 
+@pytest.mark.parametrize(
+    "poison, first",
+    [("all NaN", "encoder.layer0"), ("one infinity", "sketch.w_mi")],
+)
+@pytest.mark.parametrize("command", ["evaluate", "explain"])
+def test_non_finite_model_values_exit_two(trained, tmp_path, capsys, poison, first, command):
+    """A model.bin of NaN would score every graph as class 0 and exit 0."""
+    _, manifest = _doctored_model(trained, tmp_path)
+    blob = tmp_path / "model.bin"
+    values = np.frombuffer(blob.read_bytes(), dtype="<f8").copy()
+    if poison == "all NaN":
+        values[:] = np.nan
+    else:
+        sizes = [int(np.prod(item["shape"])) for item in manifest["arrays"]]
+        names = [item["name"] for item in manifest["arrays"]]
+        values[sum(sizes[: names.index(first)]) + 1] = -np.inf
+    blob.write_bytes(values.astype("<f8").tobytes())
+    args = [
+        command, "3",
+        "--dataset", "SYN",
+        "--data-dir", str(trained[0] / "data"),
+        "--out-dir", str(tmp_path),
+    ]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert str(blob) in err and f"array {first} holds a NaN or an infinity" in err
+    assert not (tmp_path / "graph_3.json").exists()
+
+
 def test_evaluate_rejects_model_bin_of_partial_values(trained, tmp_path, capsys):
     _doctored_model(trained, tmp_path)
     blob = tmp_path / "model.bin"

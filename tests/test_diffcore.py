@@ -126,6 +126,22 @@ def test_backward_rejects_non_scalar_loss():
         t.backward(t.add(w, w))
 
 
+def test_backward_runs_once_and_frees_what_it_consumed():
+    t = Tape()
+    w = t.param(rand(np.random.default_rng(7), 3, 2))
+    h = t.tanh(t.matmul(t.constant(np.ones((4, 3))), w))
+    loss = t.sum(t.mul(h, h))
+    grads = t.backward(loss)
+    assert grads[w].shape == (3, 2) and w.grad is grads[w]
+    others = [node for node in t.nodes if not node.is_param]
+    assert all(node.grad is None and node.backward_rule is None for node in others)
+    assert h.value.shape == (4, 2)  # values stay readable
+    # A second pass would find no rules left and return zeros; it raises.
+    with pytest.raises(ValueError, match="backward already ran"):
+        t.backward(loss)
+    assert w.grad is grads[w]
+
+
 def test_backward_composite_bilinear_sigmoid():
     # loss = sigmoid(x^T W y); gradient on W vs finite differences
     rng = np.random.default_rng(7)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from subsketch.diffcore import Tape
-from subsketch.encoder import propagation_matrix, subgraph_features
+from subsketch.encoder import encode_subgraphs, propagation_matrix, subgraph_features
 from subsketch.sampler import sample_subgraphs
 from subsketch.trainer import TrainConfig, bind_model, init_model
 
@@ -10,6 +10,7 @@ from _reference import (
     Encoder,
     SubgraphEntry,
     encode_nodes,
+    encoder_chain,
     entries_of,
     intra_attention,
     intra_attention_weights,
@@ -257,3 +258,107 @@ def test_dropout_only_between_layers_in_training():
             assert val == pytest.approx(np.tanh(2.0 * np.tanh(1.0)), abs=1e-12)
             one += 1
     assert dropped > 5 and one > 5
+
+
+# ------------------------------------------------ the fused subgraph encoder
+
+
+def _encoder_inputs(seed, graphs=3, n=6, s=4, d=5):
+    """Stacked constants of a few small graphs (some with pad rows) and
+    random ``layer0``, ``layer1`` and ``direction`` arrays."""
+    rng = np.random.default_rng(seed)
+    sets = [
+        sample_subgraphs(random_graph(rng, int(rng.integers(3, 12)), 0.3), n, s)
+        for _ in range(graphs)
+    ]
+    cats = int(rng.integers(2, 5))
+    prop = np.concatenate([propagation_matrix(ss.adjacency, ss.mask) for ss in sets])
+    feats = np.concatenate([
+        subgraph_features(ss, rng.integers(0, cats, size=ss.nodes.max() + 1)) for ss in sets
+    ])
+    real = np.concatenate([ss.mask for ss in sets])
+    arrays = [
+        rng.standard_normal((cats, d)) * 0.7,
+        rng.standard_normal((d, d)) * 0.7,
+        rng.standard_normal((d, 1)) * 0.7,
+    ]
+    return prop, feats, real, arrays
+
+
+def _upstream(rng, m, d, dead):
+    """An embedding gradient whose rows in ``dead`` are +0 or -0."""
+    g = rng.standard_normal((m, d))
+    g[dead] = 0.0
+    g[dead[::2]] = -0.0
+    return g
+
+
+def _run_encoder(encode, arrays, prop, feats, real, g, dropout, record):
+    tape = Tape(training=dropout > 0.0, record=record)
+    nodes = [tape.param(a) for a in arrays]
+    emb, weights = encode(
+        tape, *nodes, prop, feats, real, dropout, np.random.default_rng(9)
+    )
+    weights = weights if isinstance(weights, np.ndarray) else weights.value
+    if not record:
+        return emb.value, weights, None
+    grads = tape.backward(tape.sum(tape.mul(emb, tape.constant(g))))
+    return emb.value, weights, [grads[node] for node in nodes]
+
+
+@pytest.mark.parametrize("dead", ["none", "half", "all but one", "all"])
+@pytest.mark.parametrize("record", [True, False])
+@pytest.mark.parametrize("dropout", [0.0, 0.5])
+@pytest.mark.parametrize("seed", range(3))
+def test_fused_encoder_matches_the_op_chain_bit_for_bit(seed, dropout, record, dead):
+    prop, feats, real, arrays = _encoder_inputs(70 + seed)
+    m, d = prop.shape[0], arrays[0].shape[1]
+    rng = np.random.default_rng(seed)
+    dead_rows = {
+        "none": np.array([], dtype=np.intp),
+        "half": np.sort(rng.permutation(m)[: m // 2]),
+        "all but one": np.delete(np.arange(m), int(rng.integers(m))),
+        "all": np.arange(m),
+    }[dead]
+    g = _upstream(rng, m, d, dead_rows)
+    want = _run_encoder(encoder_chain, arrays, prop, feats, real, g, dropout, record)
+    got = _run_encoder(encode_subgraphs, arrays, prop, feats, real, g, dropout, record)
+    for name, w, x in zip(("embeddings", "intra weights"), want, got):
+        assert x.shape == w.shape and x.tobytes() == w.tobytes(), name
+    if record:
+        for name, w, x in zip(("layer0", "layer1", "direction"), want[2], got[2]):
+            assert x.shape == w.shape and x.tobytes() == w.tobytes(), name
+
+
+def test_fused_encoder_backward_sees_non_finite_dead_subgraphs():
+    # A NaN in a subgraph with a zero embedding gradient poisons the op
+    # chain's weight gradients through 0 * NaN; the fused op must not hide it.
+    prop, feats, real, arrays = _encoder_inputs(80)
+    m, d = prop.shape[0], arrays[0].shape[1]
+    prop[m - 2, 0, 0] = np.nan
+    g = _upstream(np.random.default_rng(0), m, d, np.arange(m // 2, m))
+    _, _, want = _run_encoder(encoder_chain, arrays, prop, feats, real, g, 0.5, True)
+    _, _, got = _run_encoder(encode_subgraphs, arrays, prop, feats, real, g, 0.5, True)
+    for w, x in zip(want, got):
+        assert not np.isfinite(w).all()
+        np.testing.assert_array_equal(x, w)
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.5])
+@pytest.mark.parametrize("seed", range(3))
+def test_fused_encoder_gradients_match_finite_differences(seed, dropout):
+    prop, feats, real, arrays = _encoder_inputs(90 + seed, graphs=2, n=3, s=4, d=3)
+    m, d = prop.shape[0], arrays[0].shape[1]
+    rng = np.random.default_rng(seed)
+    g = _upstream(rng, m, d, np.array([1, m - 1]))
+
+    def loss(arrs):
+        tape = Tape(training=dropout > 0.0, record=False)
+        emb, _ = encode_subgraphs(
+            tape, *(tape.param(a) for a in arrs), prop, feats, real, dropout,
+            np.random.default_rng(9),
+        )
+        return float((emb.value * g).sum())
+
+    _, _, got = _run_encoder(encode_subgraphs, arrays, prop, feats, real, g, dropout, True)
+    assert_grads_close(got, finite_diff_grads(loss, arrays), tol=1e-4)

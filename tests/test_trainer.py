@@ -477,7 +477,7 @@ def test_batched_pair_scores_match_per_pair_oracle(dataset, monkeypatch, variant
 # Tape nodes one training step records at the default head count (dropout
 # on).  Fewer nodes is the point of the fused ops; a change here should be
 # deliberate.
-STEP_TAPE_NODES = {"full": 90, "no_mi": 75, "mi_corrupt": 143}
+STEP_TAPE_NODES = {"full": 77, "no_mi": 62, "mi_corrupt": 117}
 
 
 @pytest.mark.parametrize("variant", sorted(STEP_TAPE_NODES))
@@ -493,6 +493,36 @@ def test_training_step_tape_size_is_pinned(dataset, variant):
     )
     tape.backward(result.loss)
     assert len(tape.nodes) == STEP_TAPE_NODES[variant]
+
+
+def test_training_step_peak_memory_is_bounded():
+    # A DD-shaped step: 32 graphs, n = 30 subgraphs of s = 8 nodes.  With the
+    # encoder as 14 tape ops and a backward that kept every gradient until
+    # the tape was dropped, it peaked at 23.2 MB; the fused encoder keeps
+    # only what its backward reads, and backward frees each gradient once
+    # used, for a peak of 12.7 MB.
+    rng = np.random.default_rng(18)
+    graphs = [random_graph(rng, 60, 0.07, index=i, label=i % 2) for i in range(32)]
+    config = TrainConfig(n=30, s=8)
+    tensors = [precompute_tensors(g, config.n, config.s) for g in graphs]
+    model = init_model(np.random.default_rng(0), 2, 2, config)
+
+    def step():
+        tape = Tape(training=True)
+        result = batch_forward(
+            bind_model(model, tape), tensors, [g.label for g in graphs], 0.5, config,
+            tape, rng=np.random.default_rng(1), corrupt_rng=np.random.default_rng(2),
+        )
+        tape.backward(result.loss)
+
+    step()  # warm any lazy state first
+    tracemalloc.start()
+    try:
+        step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20, f"a training step peaked at {peak / 2**20:.1f} MB"
 
 
 def _eval_forward(graphs, config, k, record):
@@ -524,7 +554,7 @@ def test_forward_only_tape_gives_the_recording_tapes_bits(dataset, variant, k):
         return {
             "graph_dists": r.graph_dists.value, "sub_dists": r.sub_dists.value,
             "values": r.state.values.value, "gates": r.state.gates.value,
-            "intra_weights": r.state.intra_weights.value, "selected": r.state.selected,
+            "intra_weights": r.state.intra_weights, "selected": r.state.selected,
         }
 
     for (name, g), w in zip(arrays(got).items(), arrays(want).values()):
@@ -539,7 +569,7 @@ def test_forward_only_tape_keeps_nothing_for_backward(dataset):
     state = result.state
     returned = [
         *bound.values(), result.graph_dists, result.sub_dists, result.readouts,
-        state.values, state.intra_weights, state.gates, state.z_primes,
+        state.values, state.gates, state.z_primes,
     ]
     assert all(node.parents == () and node.backward_rule is None for node in returned)
     x = tape.constant(np.ones((2, 3)))
@@ -641,6 +671,32 @@ def test_non_finite_gradient_stops_training(dataset, monkeypatch):
     plan = make_folds(dataset, config.seed, config.fold_count)
     with pytest.raises(TrainingDiverged, match="fold 0, epoch 0, batch 0: .*not finite"):
         train_fold(dataset, plan, 0, config)
+
+
+@pytest.mark.parametrize("variant", ["full", "mi_corrupt"])
+def test_nan_in_an_unselected_subgraph_stops_training(dataset, variant):
+    # The encoder's backward skips subgraphs that top-k left out; a NaN in
+    # one must still reach the weight gradients, as 0 * NaN does in the
+    # unfused op chain, even though the loss never reads that subgraph.
+    config = tiny_config(variant=variant, n=6, s=4, epochs=1, seed=0)
+    plan = make_folds(dataset, config.seed, config.fold_count)
+    train_ids, _ = plan.split(0)
+    tensors = {g.index: precompute_tensors(g, config.n, config.s) for g in dataset}
+    tensors[train_ids[0]].prop_blocks[2, 0, 0] = np.nan
+    batch = [tensors[i] for i in train_ids[:4]]
+    tape = Tape(training=True)
+    bound = bind_model(init_model(np.random.default_rng(0), 4, 2, config), tape)
+    result = batch_forward(
+        bound, batch, [t.graph.label for t in batch], config.k0, config, tape,
+        rng=np.random.default_rng(1), corrupt_rng=np.random.default_rng(2),
+    )
+    assert np.isnan(result.state.values.value[2, 0])
+    assert 2 not in result.state.selected[0]  # a NaN score ranks last
+    assert np.isfinite(result.loss.value).all()
+    grads = tape.backward(result.loss)
+    assert not all(np.isfinite(g).all() for g in grads.values())
+    with pytest.raises(TrainingDiverged, match="not finite"):
+        train_fold(dataset, plan, 0, config, tensors)
 
 
 def test_single_graph_batch_rejected_for_alternative_negatives(dataset):

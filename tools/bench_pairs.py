@@ -21,8 +21,10 @@ the runner prints, and the per-layer metrics of one ``--trace 1`` run on
 the workload's first seed.  Each side names its ``commit`` and its
 ``src_tree`` (``git rev-parse COMMIT:src``), which identifies the code
 measured even when the commit was made in a throwaway clone.  Per metric,
-``wins`` counts the pairs in which the change read better.  Only the
-standard library is used.
+``wins`` counts the pairs in which the change read better, and ``verdicts``
+gives the reading rule of the README (see :func:`verdict`).  A run that is
+not ``correct`` or has a failed operation stops the script with exit status
+1, and no file is written.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import subprocess
 import sys
 
 PAIRS = 10
+GAIN_WINS = 9  # pairs of PAIRS the change must win for a gain
 BLAS_ENV = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
@@ -59,6 +62,9 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int
     if proc.returncode != 0:
         sys.exit(f"error: {' '.join(command)} exited {proc.returncode} in {checkout}:\n{proc.stderr}")
     info, result = (json.loads(line) for line in proc.stdout.strip().splitlines()[-2:])
+    if result["correct"] is not True or result["failed"]:
+        sys.exit(f"error: {' '.join(command)} in {checkout} was correct={result['correct']} "
+                 f"with {result['failed']} failed operations; no file written")
     return {"seed": seed, "info": info["info"], **result}
 
 
@@ -73,18 +79,49 @@ def summarize(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def count_wins(parent: list[float], change: list[float], better: str) -> int:
+    """Pairs in which the change reads better; a tie counts for neither side."""
+    sign = 1 if better == "higher" else -1
+    return sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+
+
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """How the change reads on one metric, from paired runs of both sides.
+
+    ``gain``: the change wins at least GAIN_WINS pairs (ties count for
+    neither) and its median is better by more than the parent's q3 - q1.
+    ``unresolved``: otherwise, the parent's quartile spread over its median
+    is wider than ``bound``, and neither side's runs all beat the other's.
+    ``worse``: otherwise, the change's median is worse by more than
+    ``bound`` times the parent's.  ``within bound``: anything else.
+    """
+    sign = 1 if better == "higher" else -1
+    p, c = summarize(parent), summarize(change)
+    gained = sign * (c["median"] - p["median"])
+    if count_wins(parent, change, better) >= GAIN_WINS and gained > p["q3"] - p["q1"]:
+        return "gain"
+    scale = abs(p["median"])
+    separated = any(
+        all(sign * (x - y) > 0 for x in a for y in b) for a, b in ((change, parent), (parent, change))
+    )
+    if p["q3"] - p["q1"] > bound * scale and not separated:
+        return "unresolved"
+    return "worse" if -gained > bound * scale else "within bound"
+
+
 def compare(spec: dict, runs: dict) -> dict:
-    """Quartiles per side and the change's wins per end-to-end metric."""
+    """Quartiles per side, and the change's wins and verdict per end-to-end metric."""
     out = {side: {"environment": runs[side][0]["info"]["environment"], "metrics": {}}
            for side in ("parent", "change")}
-    wins = {}
+    wins, verdicts = {}, {}
     for metric in spec["end_to_end"]:
-        name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+        name = metric["name"]
         values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in out}
         for side in out:
             out[side]["metrics"][name] = {**summarize(values[side]), "unit": metric["unit"]}
-        wins[name] = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
-    return {**out, "wins": wins}
+        wins[name] = count_wins(values["parent"], values["change"], metric["better"])
+        verdicts[name] = verdict(values["parent"], values["change"], metric["better"], metric["bound"])
+    return {**out, "wins": wins, "verdicts": verdicts}
 
 
 def print_table(workload: str, spec: dict, result: dict) -> None:
@@ -96,7 +133,8 @@ def print_table(workload: str, spec: dict, result: dict) -> None:
         print(
             f"{workload:<14} {name:<19} parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]  "
             f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]  {delta:+.1%}  "
-            f"wins {result['wins'][name]}/{PAIRS}  spread {spread:.1%}  bound {metric['bound']:.0%}"
+            f"wins {result['wins'][name]}/{PAIRS}  spread {spread:.1%}  bound {metric['bound']:.0%}  "
+            f"{result['verdicts'][name]}"
         )
 
 
