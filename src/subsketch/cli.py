@@ -22,6 +22,7 @@ from .errors import ConfigError, DatasetFormatError
 from .explain import explain_graph, write_dot, write_graph_json
 from .persist import load_model, save_model, write_csv, write_report
 from .trainer import (
+    FIELD_TYPES,
     VARIANTS,
     TrainConfig,
     cross_validate,
@@ -44,20 +45,11 @@ DATASET_DEFAULTS = {
 _PATH_KEYS = ("dataset", "data_dir", "out_dir")
 
 
-# Reads a config-file value for each TrainConfig annotation.
-_READERS = {
-    "int": int,
-    "float": float,
-    "str": str,
-    "float | None": lambda text: None if text.lower() == "none" else float(text),
-}
-
-
 def parse_config_file(path: str, unread: tuple[str, ...] = ()) -> dict:
     """Read UTF-8 ``key = value`` lines (``#`` comments); refuse ``unread`` keys."""
     if not os.path.isfile(path):
         raise FileNotFoundError(f"config file not found: {path}")
-    parsers = {field.name: _READERS[field.type] for field in fields(TrainConfig)}
+    parsers = {field.name: FIELD_TYPES[field.type][1] for field in fields(TrainConfig)}
     parsers.update(dict.fromkeys(_PATH_KEYS, str))
     values: dict = {}
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:

@@ -18,10 +18,10 @@ and the parameter gradients remain, and a second ``backward`` raises.  An
 op defined outside this module, such as the fused subgraph encoder in
 ``encoder``, records its node through ``Tape._record`` like every op here.
 
-Gathers know their index pattern: ``take_rows`` slices a contiguous
-``range`` and zero-pads its gradient, ``repeat_rows`` repeats each row in
-equal runs and sums each run's gradient rows in order, and any other index
-array scatter-adds with one ``np.bincount``.
+Gathers know their index pattern: ``repeat_rows`` repeats each row in
+equal runs and sums each run's gradient rows in order, and ``take_rows``
+gathers any index sequence (a ``range`` too) and scatter-adds its gradient
+with one ``np.bincount``.
 
 Broadcasting is narrow and explicit: ``add``, ``mul`` and ``div`` take a
 second operand of the first's shape, or a single (1, d) row repeated down
@@ -154,23 +154,8 @@ class Tape:
         )
 
     def take_rows(self, x: Node, indices) -> Node:
-        """Gather rows (duplicates allowed); backward scatter-adds.
-
-        A ``range`` of step 1 inside ``x`` is a contiguous block: the forward
-        takes a slice and the backward zero-pads the gradient around it.
-        """
+        """Gather rows (duplicates allowed); backward scatter-adds."""
         rows, cols = x.value.shape
-        if isinstance(indices, range) and indices.step == 1 and (
-            0 <= indices.start <= indices.stop <= rows
-        ):
-            block = slice(indices.start, indices.stop)
-
-            def pad(g):
-                gx = np.zeros((rows, cols))
-                gx[block] = g
-                return (gx,)
-
-            return self._record(x.value[block], (x,), pad)
         idx = np.asarray(indices, dtype=np.intp)
 
         def rule(g):
@@ -230,42 +215,33 @@ class Tape:
             lambda g: (g * b.value, g * a.value),
         )
 
-    def block_diag_matmul(self, blocks: np.ndarray | Node, h: Node) -> Node:
+    def block_diag_matmul(self, blocks: Node, h: Node) -> Node:
         """Multiply a block-diagonal matrix by ``h``.
 
-        ``blocks`` is either a constant (m, s, s) array or a node of shape
-        (m*s, s) whose rows [i*s, (i+1)*s) hold block i; only the node form
-        gets a gradient. ``h`` has shape (m*s, d), and block i acts on its
-        rows [i*s, (i+1)*s). Equivalent to a dense (m*s)x(m*s) block-diag
-        matmul without materializing it.
+        ``blocks`` has shape (m*s, s); its rows [i*s, (i+1)*s) hold block i,
+        which acts on rows [i*s, (i+1)*s) of ``h`` (shape (m*s, d)).
+        Equivalent to a dense (m*s)x(m*s) block-diag matmul without
+        materializing it.
         """
-        if isinstance(blocks, Node):
-            parents = (blocks, h)
-            rows, s = blocks.value.shape
-            fits = s > 0 and rows % s == 0
-            b = blocks.value.reshape(rows // s, s, s) if fits else None
-        else:
-            parents = (h,)
-            fits = blocks.ndim == 3 and blocks.shape[1] == blocks.shape[2]
-            b = blocks
-        if not fits or h.value.shape[0] != b.shape[0] * b.shape[1]:
+        rows, s = blocks.value.shape
+        if s == 0 or rows % s or h.value.shape[0] != rows:
             raise ValueError(
                 f"block_diag_matmul mismatch: blocks {blocks.shape}, h {h.value.shape}"
             )
-        m, s, _ = b.shape
-        d = h.value.shape[1]
+        m, d = rows // s, h.value.shape[1]
+        b = blocks.value.reshape(m, s, s)
         hr = h.value.reshape(m, s, d)
 
         def rule(g):
             gr = g.reshape(m, s, d)
-            gh = np.matmul(b.transpose(0, 2, 1), gr).reshape(m * s, d)
-            if len(parents) == 1:
-                return (gh,)
-            return (np.matmul(gr, hr.transpose(0, 2, 1)).reshape(m * s, s), gh)
+            return (
+                np.matmul(gr, hr.transpose(0, 2, 1)).reshape(m * s, s),
+                np.matmul(b.transpose(0, 2, 1), gr).reshape(m * s, d),
+            )
 
         # Stacked np.matmul, not einsum: on batches of small blocks einsum's
         # generic loops run about 10x slower.
-        return self._record(np.matmul(b, hr).reshape(m * s, d), parents, rule)
+        return self._record(np.matmul(b, hr).reshape(m * s, d), (blocks, h), rule)
 
     def rowblock_weighted_sum(self, w: Node, h: Node) -> Node:
         """out[i] = sum_j w[i, j] * h[i*s + j]  (w: m x s, h: (m*s) x d)."""

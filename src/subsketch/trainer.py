@@ -55,12 +55,15 @@ from .sketch_mi import attention_mask, corrupt, inter_attention_with_mask, mi_lo
 
 VARIANTS = ("full", "fixed_k", "no_mi", "mi_corrupt")
 
-# The values each TrainConfig annotation admits.
-_ADMITS = {
-    "int": numbers.Integral,
-    "float": numbers.Real,
-    "str": str,
-    "float | None": (numbers.Real, type(None)),
+# Per TrainConfig annotation: the values it admits, and how ``cli`` reads
+# one from a config file's text.
+FIELD_TYPES = {
+    "int": (numbers.Integral, int),
+    "float": (numbers.Real, float),
+    "str": (str, str),
+    "float | None": (
+        (numbers.Real, type(None)), lambda text: None if text.lower() == "none" else float(text)
+    ),
 }
 
 
@@ -94,7 +97,7 @@ class TrainConfig:
         for field in fields(self):
             value = getattr(self, field.name)
             # bool is an int subclass, but True is no count or rate
-            if isinstance(value, bool) or not isinstance(value, _ADMITS[field.type]):
+            if isinstance(value, bool) or not isinstance(value, FIELD_TYPES[field.type][0]):
                 raise ConfigError(f"{field.name} must be of type {field.type}, got {value!r}")
         if self.variant not in VARIANTS:
             raise ConfigError(
@@ -556,8 +559,10 @@ def cross_validate(
     if config.jobs > 1:
         # Each worker gets the graphs and tensors once, as it starts, and the
         # folds one at a time, since early stopping makes their lengths differ.
+        # The pool forks all its workers at once, so it gets no more than folds.
         with ProcessPoolExecutor(
-            config.jobs, initializer=_start_worker, initargs=(run_fold,)
+            min(config.jobs, config.fold_count), initializer=_start_worker,
+            initargs=(run_fold,),
         ) as pool:
             results = list(pool.map(_run_worker_fold, range(config.fold_count)))
     else:

@@ -235,12 +235,14 @@ def encoder_chain(
     rng: np.random.Generator | None = None,
 ) -> tuple[Node, Node]:
     """``encoder.encode_subgraphs`` as the 14 tape ops it fuses, in their
-    order: returns the (m, d1) embeddings and the (m, s) intra weights."""
+    order, after one constant node for the (m*s, s) propagation blocks:
+    returns the (m, d1) embeddings and the (m, s) intra weights."""
     m, s, _ = prop.shape
-    h = tape.tanh(tape.block_diag_matmul(prop, tape.take_rows(layer0, feats)))
+    blocks = tape.constant(prop.reshape(m * s, s))
+    h = tape.tanh(tape.block_diag_matmul(blocks, tape.take_rows(layer0, feats)))
     if dropout > 0.0:
         h = tape.dropout(h, dropout, rng)
-    h = tape.tanh(tape.block_diag_matmul(prop, tape.matmul(h, layer1)))
+    h = tape.tanh(tape.block_diag_matmul(blocks, tape.matmul(h, layer1)))
     scores = tape.tanh(tape.matmul(h, direction))
     grid = tape.add(tape.reshape(scores, m, s), tape.constant(np.where(real, 0.0, MASK_OFF)))
     weights = tape.softmax_rows(grid)

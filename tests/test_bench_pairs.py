@@ -1,9 +1,10 @@
 """``tools/bench_pairs.py``: its verdict per metric, and its refusal of a
-run that is not correct."""
+run that is not correct or of two checkouts of different benchmarks."""
 
 import importlib.util
 import json
 import os
+import subprocess
 
 import pytest
 
@@ -81,3 +82,56 @@ def test_a_run_that_is_not_correct_stops_the_script(tmp_path, correct, failed):
 def test_a_correct_run_is_returned(tmp_path):
     run = bench_pairs.run_once(_fake_checkout(tmp_path, True, 0), "mutag_train", 3, 0.1)
     assert run["seed"] == 3 and run["correct"] is True and run["failed"] == 0
+
+
+SPEC = {"command": ["python3", "bench/run.py"], "run_seconds": 0.1,
+        "workloads": [{"name": "w"}], "end_to_end": []}
+
+
+def _repo(path, run_py="print('run')\n", spec=json.dumps(SPEC)):
+    """A committed checkout with src/, bench/ and BENCHMARK.json."""
+    (path / "src").mkdir(parents=True)
+    (path / "src" / "mod.py").write_text("x = 1\n")
+    (path / "bench").mkdir()
+    (path / "bench" / "run.py").write_text(run_py)
+    (path / "BENCHMARK.json").write_text(spec)
+    git = ["git", "-C", str(path), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["add", "-A"], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "init"], check=True)
+    return str(path)
+
+
+def test_two_checkouts_of_one_benchmark_are_described(tmp_path):
+    sides = {"parent": _repo(tmp_path / "p"), "change": _repo(tmp_path / "c")}
+    described = bench_pairs.describe_sides(sides)
+    for side in sides:
+        assert set(described[side]) == {"commit", "src_tree", "bench_tree", "spec_blob"}
+    assert described["parent"]["bench_tree"] == described["change"]["bench_tree"]
+
+
+@pytest.mark.parametrize("differs", [
+    {"run_py": "print('other')\n"}, {"spec": json.dumps({**SPEC, "run_seconds": 1})},
+])
+def test_two_different_benchmarks_stop_the_script_before_any_run(tmp_path, differs):
+    # The change's run.py would leave a marker file if it ever ran.
+    marker = tmp_path / "ran"
+    run_py = f"open({str(marker)!r}, 'w').close()\n"
+    parent = _repo(tmp_path / "p", **{"run_py": run_py, **differs})
+    change = _repo(tmp_path / "c", run_py=run_py)
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.main(["--parent", parent, "--change", change, "--out", str(out),
+                          "--first-seed", "1"])
+    assert "two different benchmarks" in str(stop.value.code)
+    assert not marker.exists() and not out.exists()
+
+
+@pytest.mark.parametrize("path", ["bench/run.py", "BENCHMARK.json", "src/mod.py"])
+def test_uncommitted_benchmark_or_source_changes_are_refused(tmp_path, path):
+    checkout = _repo(tmp_path / "c")
+    with open(os.path.join(checkout, path), "a") as fh:
+        fh.write("\n")
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.describe(checkout)
+    assert "uncommitted changes" in str(stop.value.code)

@@ -225,8 +225,6 @@ def _loss_for(op_name, t, inputs, extras):
         y = t.repeat_rows(x[0], 2)
     elif op_name == "repeat_rows_shift":
         y = t.repeat_rows(x[0], 2, shift=1)
-    elif op_name == "block_diag_matmul":
-        y = t.block_diag_matmul(extras["blocks"], x[0])
     elif op_name == "block_diag_matmul_node":
         y = t.block_diag_matmul(x[0], x[1])
     elif op_name == "rowblock_weighted_sum":
@@ -260,8 +258,6 @@ def _inputs_for(op_name, rng):
         return [rand(rng, 3, 4), np.abs(rand(rng, 3, 4)) + 0.5]
     if op_name in ("log", "sqrt"):
         return [np.abs(rand(rng, 3, 4)) + 0.5]
-    if op_name == "block_diag_matmul":
-        return [rand(rng, 6, 4)]
     if op_name == "block_diag_matmul_node":
         return [rand(rng, 6, 2), rand(rng, 6, 4)]  # three 2x2 blocks
     if op_name == "rowdot":
@@ -281,8 +277,8 @@ def _inputs_for(op_name, rng):
 DIFFERENTIABLE_OPS = [
     "matmul", "add", "mul", "div", "neg", "scale", "sigmoid", "tanh",
     "leaky_relu", "log", "exp", "sqrt", "softplus", "softmax_rows",
-    "transpose", "reshape", "sum", "take_rows", "block_diag_matmul",
-    "block_diag_matmul_node", "rowblock_weighted_sum", "dropout", "rowdot",
+    "transpose", "reshape", "sum", "take_rows", "block_diag_matmul_node",
+    "rowblock_weighted_sum", "dropout", "rowdot",
     "l2_penalty", "add_row", "add_col", "mul_row", "mul_col", "div_row",
     "div_col", "vote_nll", "matmul_col", "take_rows_range", "repeat_rows",
     "repeat_rows_shift",
@@ -297,7 +293,6 @@ def test_gradients_match_finite_differences(op_name):
         extras = {
             "weighting": rand(rng, 16, 16),
             "idx": [2, 0, 2],
-            "blocks": rng.standard_normal((3, 2, 2)),
             "seed": seed,
         }
 
@@ -321,8 +316,6 @@ def test_block_diag_matmul_node_matches_dense_block_diagonal():
     t = Tape()
     out = t.block_diag_matmul(t.constant(blocks), t.constant(h))
     np.testing.assert_allclose(out.value, dense @ h, atol=1e-14)
-    stacked = t.block_diag_matmul(blocks.reshape(3, 2, 2), t.constant(h))
-    np.testing.assert_allclose(stacked.value, out.value, atol=1e-14)
 
 
 def test_block_diag_matmul_shape_errors():
@@ -332,7 +325,7 @@ def test_block_diag_matmul_shape_errors():
     with pytest.raises(ValueError, match="block_diag_matmul mismatch"):
         t.block_diag_matmul(t.constant(np.ones((6, 2))), t.constant(np.ones((4, 3))))
     with pytest.raises(ValueError, match="block_diag_matmul mismatch"):
-        t.block_diag_matmul(np.ones((3, 2, 3)), t.constant(np.ones((6, 3))))
+        t.block_diag_matmul(t.constant(np.ones((6, 0))), t.constant(np.ones((6, 3))))
 
 
 # ------------------------------------------------ broadcasts, rowdot, L2

@@ -829,6 +829,37 @@ def test_parallel_folds_send_the_graphs_once_per_worker(dataset, monkeypatch):
     assert max(pickled.values(), default=0) <= 2
 
 
+def test_jobs_above_the_fold_count_start_one_worker_per_fold(dataset, monkeypatch):
+    """The pool forks all its workers at once, so ``jobs=8`` over 2 folds
+    asks for 2.  An in-process stand-in records the request and starts no
+    process."""
+    import subsketch.trainer as trainer
+
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            asked.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(trainer, "ProcessPoolExecutor", InProcessPool)
+    config = tiny_config(epochs=1, fold_count=2, seed=6)
+    seq_report, _ = cross_validate(dataset, config)
+    report, _ = cross_validate(dataset, replace(config, jobs=8))
+    assert asked == [2]
+    assert report.fold_accuracies == seq_report.fold_accuracies
+    assert report.trajectories == seq_report.trajectories
+
+
 def test_training_beats_majority_rate(dataset):
     config = TrainConfig(
         n=6, s=4, d1=8, d2=16, heads=2, batch_size=10, fold_count=5,

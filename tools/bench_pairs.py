@@ -5,8 +5,10 @@ Usage, from the repository root::
     python3 tools/bench_pairs.py --parent ../parent --change . --out BENCH_x.json --first-seed 1601
 
 ``--parent`` and ``--change`` are git checkouts of the two commits to
-compare; each must have no uncommitted change under ``src/``.  For each
-workload in ``BENCHMARK.json`` the script runs ten pairs of::
+compare; each must have no uncommitted change under ``src/`` or ``bench/``
+or in ``BENCHMARK.json``, and the two must hold the same ``bench/`` and
+``BENCHMARK.json``, or the runs would measure two different benchmarks.
+For each workload in ``BENCHMARK.json`` the script runs ten pairs of::
 
     python3 bench/run.py --workload W --seed S --seconds RUN_SECONDS
 
@@ -18,9 +20,11 @@ Runs go one at a time, so no two compete for the machine.
 The output records, per side and workload, every run's result line, the
 median and quartiles of each end-to-end metric, the ``environment`` block
 the runner prints, and the per-layer metrics of one ``--trace 1`` run on
-the workload's first seed.  Each side names its ``commit`` and its
+the workload's first seed.  Each side names its ``commit``, its
 ``src_tree`` (``git rev-parse COMMIT:src``), which identifies the code
-measured even when the commit was made in a throwaway clone.  Per metric,
+measured even when the commit was made in a throwaway clone, and its
+``bench_tree`` and ``spec_blob`` (the same for ``bench`` and
+``BENCHMARK.json``).  Per metric,
 ``wins`` counts the pairs in which the change read better, and ``verdicts``
 gives the reading rule of the README (see :func:`verdict`).  A run that is
 not ``correct`` or has a failed operation stops the script with exit status
@@ -48,9 +52,22 @@ def _git(checkout: str, *args: str) -> str:
 
 
 def describe(checkout: str) -> dict:
-    if _git(checkout, "status", "--porcelain", "--", "src"):
-        sys.exit(f"error: {checkout} has uncommitted changes under src/; commit them first")
-    return {"commit": _git(checkout, "rev-parse", "HEAD"), "src_tree": _git(checkout, "rev-parse", "HEAD:src")}
+    if _git(checkout, "status", "--porcelain", "--", "src", "bench", "BENCHMARK.json"):
+        sys.exit(f"error: {checkout} has uncommitted changes under src/ or bench/ "
+                 "or in BENCHMARK.json; commit them first")
+    names = {"commit": "HEAD", "src_tree": "HEAD:src", "bench_tree": "HEAD:bench",
+             "spec_blob": "HEAD:BENCHMARK.json"}
+    return {key: _git(checkout, "rev-parse", name) for key, name in names.items()}
+
+
+def describe_sides(sides: dict[str, str]) -> dict:
+    """Each side's description; exits if the two hold different benchmarks."""
+    described = {side: describe(path) for side, path in sides.items()}
+    for key in ("bench_tree", "spec_blob"):
+        if described["parent"][key] != described["change"][key]:
+            sys.exit(f"error: the parent and the change differ in {key}; "
+                     "their runs would measure two different benchmarks")
+    return described
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -153,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
         "command": spec["command"] + ["--workload", "W", "--seed", "S", "--seconds", str(spec["run_seconds"])],
         "pairs": PAIRS,
         "quartiles": "statistics.quantiles(n=4, method='inclusive')",
-        "sides": {side: describe(path) for side, path in sides.items()},
+        "sides": describe_sides(sides),
         "workloads": {},
     }
     seed = args.first_seed
