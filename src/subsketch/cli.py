@@ -52,6 +52,7 @@ def parse_config_file(path: str, unread: tuple[str, ...] = ()) -> dict:
     parsers = {field.name: FIELD_TYPES[field.type][1] for field in fields(TrainConfig)}
     parsers.update(dict.fromkeys(_PATH_KEYS, str))
     values: dict = {}
+    first_line: dict = {}  # key -> the line that set it
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:  # surrogateescape keeps each undecodable byte as a lone surrogate
@@ -72,6 +73,11 @@ def parse_config_file(path: str, unread: tuple[str, ...] = ()) -> dict:
                 raise ConfigError(f"{path}:{lineno}: {key!r} is not read by this command")
             if key not in parsers:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in first_line:
+                raise ConfigError(
+                    f"{path}:{lineno}: {key!r} is already set on line {first_line[key]}"
+                )
+            first_line[key] = lineno
             try:
                 values[key] = parsers[key](text)
             except ValueError as exc:
@@ -160,11 +166,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     report, results = cross_validate(graphs, settings.config)
     write_report(
         os.path.join(settings.out_dir, "report.json"),
-        report,
-        settings.dataset,
-        settings.config,
-        final_ks=[r.final_k for r in results],
-        stopped_epochs=[r.stopped_epoch for r in results],
+        report, settings.dataset, settings.config, results,
     )
     write_csv(
         os.path.join(settings.out_dir, "trajectory.csv"),

@@ -10,5 +10,5 @@ class ConfigError(ValueError):
 
 
 class TrainingDiverged(ArithmeticError):
-    """A training step made the loss or a gradient non-finite; the message
-    names the fold, epoch and batch."""
+    """A training step made the loss, the epoch's loss sum or a gradient
+    non-finite; the message names the fold, epoch and batch."""

@@ -25,7 +25,7 @@ from itertools import zip_longest
 import numpy as np
 
 from .errors import ConfigError
-from .trainer import ModelParams, RunReport, TrainConfig, param_spec
+from .trainer import FoldResult, ModelParams, RunReport, TrainConfig, param_spec
 
 SCHEMA_VERSION = 1
 
@@ -121,7 +121,7 @@ def load_model(out_dir: str) -> tuple[ModelParams, TrainConfig, float]:
 
 def write_report(
     path: str, report: RunReport, dataset: str, config: TrainConfig,
-    final_ks: list[float], stopped_epochs: list[int],
+    results: list[FoldResult],
 ) -> None:
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -130,8 +130,8 @@ def write_report(
         "fold_accuracies": report.fold_accuracies,
         "mean_accuracy": report.mean_accuracy,
         "std_accuracy": report.std_accuracy,
-        "final_ks": final_ks,
-        "stopped_epochs": stopped_epochs,
+        "final_ks": [r.final_k for r in results],
+        "stopped_epochs": [r.trajectory[-1]["epoch"] for r in results],
     }
     write_json(path, payload)
 

@@ -27,6 +27,9 @@ once; backward frees each gradient as soon as it is used.
 :func:`evaluate_accuracy` runs the same forward, dropout off, on a
 forward-only ``Tape(training=False, record=False)`` that keeps nothing for
 backward, so each batch's intermediates are freed as the forward goes.
+:func:`cross_validate` trains each fold with :func:`train_fold`, in the
+parent or in pool workers, and then scores each returned model on its
+fold's test graphs itself.
 
 Variants:
     full        adaptive k, negatives from the previous graph in the batch
@@ -388,7 +391,6 @@ class FoldResult:
     model: ModelParams
     final_k: float
     trajectory: list[dict]
-    stopped_epoch: int
     test_accuracy: float | None = None
 
 
@@ -478,16 +480,17 @@ def train_fold(
                     rng=rng_dropout, corrupt_rng=rng_corrupt,
                 )
                 grads = tape.backward(result.loss)
+                epoch_loss += result.loss.value[0, 0] * len(batch_ids)
             grads = {name: grads[node] for name, node in bound.items()}
-            if not np.isfinite(result.loss.value[0, 0]) or not all(
+            # A non-finite loss makes the running sum non-finite too.
+            if not np.isfinite(epoch_loss) or not all(
                 np.isfinite(g).all() for g in grads.values()
             ):
                 raise TrainingDiverged(
-                    f"training diverged in fold {fold}, epoch {epoch}, "
-                    f"batch {step}: the loss or a gradient is not finite"
+                    f"training diverged in fold {fold}, epoch {epoch}, batch "
+                    f"{step}: the loss, its epoch sum or a gradient is not finite"
                 )
             sgd_momentum_step(model, grads, config.lr, config.momentum, velocity)
-            epoch_loss += result.loss.value[0, 0] * len(batch_ids)
             epoch_correct += result.correct
             epoch_graphs += len(batch_ids)
 
@@ -513,28 +516,7 @@ def train_fold(
         if agent.frozen and epoch - best_epoch >= config.patience:
             break
 
-    return FoldResult(
-        fold=fold,
-        model=model,
-        final_k=agent.k,
-        trajectory=trajectory,
-        stopped_epoch=epoch,  # the last epoch run
-    )
-
-
-def _train_and_test(
-    graphs: list[Graph],
-    plan: FoldPlan,
-    fold: int,
-    config: TrainConfig,
-    tensors: dict[int, GraphTensors],
-) -> FoldResult:
-    result = train_fold(graphs, plan, fold, config, tensors)
-    _, test_ids = plan.split(fold)
-    result.test_accuracy = evaluate_accuracy(
-        result.model, tensors, test_ids, result.final_k, config
-    )
-    return result
+    return FoldResult(fold=fold, model=model, final_k=agent.k, trajectory=trajectory)
 
 
 _worker_run_fold = None  # a pool worker's fold function, set as the worker starts
@@ -555,11 +537,12 @@ def cross_validate(
     start = time.perf_counter()
     plan = make_folds(graphs, config.seed, config.fold_count)
     tensors = {g.index: precompute_tensors(g, config.n, config.s) for g in graphs}
-    run_fold = partial(_train_and_test, graphs, plan, config=config, tensors=tensors)
+    run_fold = partial(train_fold, graphs, plan, config=config, tensors=tensors)
     if config.jobs > 1:
-        # Each worker gets the graphs and tensors once, as it starts, and the
-        # folds one at a time, since early stopping makes their lengths differ.
-        # The pool forks all its workers at once, so it gets no more than folds.
+        # Workers only train.  Each gets the graphs and tensors once, as it
+        # starts, and the folds one at a time, since early stopping makes
+        # their lengths differ.  The pool forks all its workers at once, so
+        # it gets no more than folds.
         with ProcessPoolExecutor(
             min(config.jobs, config.fold_count), initializer=_start_worker,
             initargs=(run_fold,),
@@ -567,6 +550,10 @@ def cross_validate(
             results = list(pool.map(_run_worker_fold, range(config.fold_count)))
     else:
         results = [run_fold(f) for f in range(config.fold_count)]
+    for r in results:
+        r.test_accuracy = evaluate_accuracy(
+            r.model, tensors, plan.split(r.fold)[1], r.final_k, config
+        )
 
     accuracies = [r.test_accuracy for r in results]
     report = RunReport(

@@ -9,6 +9,7 @@ import os
 import re
 import shutil
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -496,6 +497,27 @@ def test_unknown_config_key_exits_with_two(workspace, tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("# two values for n\nepochs = 1\nn = 3\nn = 5\n", "4: 'n' is already set on line 3"),
+        # Keys are compared after '-' becomes '_', so these two are one key.
+        ("batch-size = 4\nbatch_size = 8\n", "2: 'batch_size' is already set on line 1"),
+    ],
+    ids=["same-spelling", "dash-and-underscore"],
+)
+def test_config_key_set_twice_exits_two_naming_both_lines(
+    workspace, tmp_path, capsys, text, where
+):
+    config = tmp_path / "twice.cfg"
+    config.write_text(text)
+    args = _train_args(workspace, "out_twice", extra=["--config", str(config)])
+    del args[args.index("--n") : args.index("--n") + 2]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {config}:{where}\n"
+    assert not (workspace / "out_twice").exists()
+
+
 def test_config_file_not_utf8_exits_with_two(workspace, tmp_path, capsys):
     config = tmp_path / "latin1.cfg"
     config.write_bytes(b"epochs = 3\n# caf\xe9\n")
@@ -530,6 +552,26 @@ def test_diverging_training_exits_one_naming_fold_epoch_and_batch(
     assert re.fullmatch(
         r"error: training diverged in fold \d+, epoch \d+, batch \d+: [^\n]+\n", err
     ), err
+
+
+def test_overflowing_epoch_loss_sum_exits_one_without_warnings(
+    workspace, tmp_path, capsys
+):
+    # Each batch's loss is finite, but with beta near the float limit the
+    # loss times the batch size overflows the epoch's running sum.
+    config = tmp_path / "huge_beta.cfg"
+    config.write_text("fold_count = 2\nbatch_size = 200\nbeta = 1e308\n")
+    args = _train_args(workspace, "out_huge_beta", extra=["--config", str(config)])
+    args[args.index("--epochs") + 1] = "1"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(args) == 1
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"error: training diverged in fold 0, epoch 0, batch 0: [^\n]+\n", err
+    ), err
+    assert not (workspace / "out_huge_beta" / "model.bin").exists()
 
 
 def test_invalid_flag_value_exits_with_two(workspace, capsys):

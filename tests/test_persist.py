@@ -14,7 +14,7 @@ from subsketch.persist import (
     write_csv,
     write_report,
 )
-from subsketch.trainer import RunReport, TrainConfig, init_model
+from subsketch.trainer import FoldResult, ModelParams, RunReport, TrainConfig, init_model
 
 from _reference import read_trajectory
 
@@ -106,8 +106,12 @@ def test_report_payload(tmp_path):
         trajectories=[],
         wall_clock_seconds=1.5,
     )
+    results = [
+        FoldResult(fold, ModelParams(), k, [{"epoch": e} for e in range(last + 1)])
+        for fold, k, last in ((0, 0.5, 3), (1, 0.25, 2))
+    ]
     path = tmp_path / "report.json"
-    write_report(str(path), report, "TOY", config, [0.5, 0.25], [3, 2])
+    write_report(str(path), report, "TOY", config, results)
     payload = json.loads(path.read_text())
     assert payload["dataset"] == "TOY"
     assert payload["fold_accuracies"] == [0.5, 0.75]

