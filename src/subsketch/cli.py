@@ -2,12 +2,14 @@
 
 Each subcommand takes only the settings it reads.  ``train`` and ``ablate``
 layer built-in defaults, a ``key=value`` config file (``--config``) and
-flags; ``evaluate`` and ``explain`` score with the saved model's settings.
-Datasets are read from ``DATA_DIR/NAME/NAME_*.txt`` in the usual benchmark
-layout; artifacts go to ``--out-dir``.
+flags; ``evaluate`` and ``explain`` score with the saved model's settings,
+and ``evaluate`` scores the fold the saved model held out.  Datasets are
+read from ``DATA_DIR/NAME/NAME_*.txt`` in the usual benchmark layout;
+artifacts go to ``--out-dir``.
 
 Exit codes: 0 on success, 2 for configuration, dataset-format, and
-missing-file problems, 1 for anything else.  Errors print to stderr.
+missing-file problems and for a saved model that scores a graph as
+non-finite, 1 for anything else.  Errors print to stderr.
 """
 
 from __future__ import annotations
@@ -15,12 +17,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
 from .dataset import dataset_stats, make_folds, parse_tu_dataset
-from .errors import ConfigError, DatasetFormatError
+from .errors import ConfigError, DatasetFormatError, ScoresNotFinite
 from .explain import explain_graph, write_dot, write_graph_json
-from .persist import load_model, save_model, write_csv, write_report
+from .persist import load_model, read_manifest, save_model, write_csv, write_report
 from .trainer import (
     FIELD_TYPES,
     VARIANTS,
@@ -187,13 +190,35 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+@contextmanager
+def _scoring(paths: Paths):
+    """A saved model's non-finite scores exit 2, naming its ``model.bin``."""
+    try:
+        yield
+    except ScoresNotFinite as exc:
+        raise ConfigError(f"{os.path.join(paths.out_dir, 'model.bin')}: {exc}") from None
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    """Score the fold the saved model held out; a model saved with no fold
+    (outside cross-validation) scores the fold given."""
     paths, model, config, final_k, graphs = _open_saved(args)
-    _, test_ids = make_folds(graphs, config.seed, config.fold_count).split(args.fold)
+    saved = read_manifest(paths.out_dir)[0]["fold"]
+    fold = saved if args.fold is None else args.fold
+    manifest = os.path.join(paths.out_dir, "model.manifest.json")
+    if fold is None:
+        raise ConfigError(f"the model in {manifest} names no held-out fold; give a fold")
+    _, test_ids = make_folds(graphs, config.seed, config.fold_count).split(fold)
+    if saved is not None and fold != saved:
+        raise ConfigError(
+            f"the model in {manifest} held out fold {saved} and trained on the "
+            f"graphs of fold {fold}; evaluate fold {saved}"
+        )
     tensors = {i: precompute_tensors(graphs[i], config.n, config.s) for i in test_ids}
-    accuracy = evaluate_accuracy(model, tensors, test_ids, final_k, config)
+    with _scoring(paths):
+        accuracy = evaluate_accuracy(model, tensors, test_ids, final_k, config)
     print(
-        f"{paths.dataset} fold {args.fold}: accuracy {accuracy:.4f} "
+        f"{paths.dataset} fold {fold}: accuracy {accuracy:.4f} "
         f"({len(test_ids)} graphs, k={final_k:.4f})"
     )
     return 0
@@ -246,11 +271,12 @@ def cmd_explain(args: argparse.Namespace) -> int:
             f"(dataset has graphs 0..{len(graphs) - 1})"
         )
     graph = graphs[args.graph_id]
-    detail = explain_graph(model, config, graph, final_k)
+    with _scoring(paths):
+        detail = explain_graph(model, config, graph, final_k)
     dot_path = os.path.join(paths.out_dir, f"graph_{graph.index}.dot")
     json_path = os.path.join(paths.out_dir, f"graph_{graph.index}.json")
+    write_graph_json(json_path, detail)  # first: it refuses values JSON cannot hold
     write_dot(dot_path, graph, detail)
-    write_graph_json(json_path, detail)
     print(
         f"graph {graph.index}: predicted class {detail['predicted_label']} "
         f"(true {detail['true_label']}), kept {detail['selection_count']} "
@@ -292,7 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     evaluate = sub.add_parser("evaluate", help="score a saved model on one fold")
     _add_paths(evaluate, required=True)
-    evaluate.add_argument("fold", nargs="?", type=int, default=0, help="fold index")
+    evaluate.add_argument(
+        "fold", nargs="?", type=int, help="fold index (default: the one the model held out)"
+    )
     evaluate.set_defaults(func=cmd_evaluate, parser=evaluate)
 
     ablate = sub.add_parser("ablate", help="compare all training variants")

@@ -12,3 +12,8 @@ class ConfigError(ValueError):
 class TrainingDiverged(ArithmeticError):
     """A training step made the loss, the epoch's loss sum or a gradient
     non-finite; the message names the fold, epoch and batch."""
+
+
+class ScoresNotFinite(ArithmeticError):
+    """A model gave a graph a class distribution that is not finite; the
+    message names the graph."""

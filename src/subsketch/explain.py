@@ -1,9 +1,10 @@
 """Per-graph inspection: which subgraphs the model selected and why.
 
-``explain_graph`` replays one graph through the trained pipeline in
-evaluation mode, on a forward-only tape that records nothing for backward,
-and gathers projection scores, gates, attention weights, and per-subgraph
-class votes.  The sketch edges are the live entries above the diagonal of
+``explain_graph`` runs one graph through :func:`~.trainer.batch_forward`
+in evaluation mode, on a forward-only tape that records nothing for
+backward, and reads projection scores, gates, attention weights, and
+per-subgraph class votes from its :class:`~.trainer.ForwardResult`.  A
+class distribution that is not finite raises ``ScoresNotFinite``.  The sketch edges are the live entries above the diagonal of
 the forward's sketch-attention mask, row by row.  The result renders two
 ways: a DOT file (selected subgraphs as clusters, node fill color by label
 category, node size growing with intra-subgraph attention weight over a
@@ -23,6 +24,7 @@ from .trainer import (
     TrainConfig,
     batch_forward,
     bind_model,
+    check_scores,
     precompute_tensors,
 )
 
@@ -38,15 +40,16 @@ def explain_graph(
     tensors = precompute_tensors(graph, config.n, config.s)
     tape = Tape(training=False, record=False)
     bound = bind_model(model, tape)
-    result = batch_forward(
-        bound, [tensors], [graph.label], k, config, tape, compute_loss=False
-    )
-    state = result.state
-    values = state.values.value[:, 0]
-    gates = state.gates.value[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = batch_forward(
+            bound, [tensors], [graph.label], k, config, tape, compute_loss=False
+        )
+    check_scores(result, [tensors])
+    values = result.values.value[:, 0]
+    gates = result.gates.value[:, 0]
     sub_dists = result.sub_dists.value
-    intra = state.intra_weights
-    selected = state.selected[0].tolist()
+    intra = result.intra_weights
+    selected = result.selected[0].tolist()
     ss = tensors.subgraph_set
     members = [row[real].tolist() for row, real in zip(ss.nodes, ss.mask)]
 
@@ -76,7 +79,7 @@ def explain_graph(
                 "class_distribution": [float(x) for x in sub_dists[rank]],
             }
         )
-    rows, cols = np.nonzero(np.triu(state.mask == 0.0, 1))
+    rows, cols = np.nonzero(np.triu(result.mask == 0.0, 1))
     return {
         "graph_id": graph.index,
         "true_label": graph.label,

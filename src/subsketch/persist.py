@@ -3,14 +3,18 @@
 A model is stored as two files: ``model.bin``, the model's arrays in
 ``param_spec`` order concatenated flat as little-endian float64, and
 ``model.manifest.json`` naming each array, its shape, and the training
-configuration plus the final pooling ratio.  Loading checks that list
-against ``param_spec`` and rejects any value that is not finite.  The split keeps the dump trivially readable from
-any language.  Reports deliberately exclude wall-clock time so repeated
-runs with one seed produce byte-identical files.
+configuration plus the final pooling ratio and the held-out fold (null for
+a model saved outside cross-validation).  :func:`read_manifest` is the one
+reader of the manifest.  Loading checks the array list against
+``param_spec`` and rejects any value that is not finite.  The split keeps
+the dump trivially readable from any language.  Reports deliberately
+exclude wall-clock time so repeated runs with one seed produce
+byte-identical files.
 
 Every CSV artifact goes through :func:`write_csv`: a header of the first
 row's keys, one ``\\r\\n``-ended line per row, floats as ``%.10g``, bools
-as 0/1 and ``None`` as an empty cell.
+as 0/1 and ``None`` as an empty cell.  Every JSON artifact goes through
+:func:`write_json`, which refuses NaN and infinities.
 """
 
 from __future__ import annotations
@@ -52,12 +56,11 @@ def save_model(
     write_json(os.path.join(out_dir, "model.manifest.json"), manifest)
 
 
-def load_model(out_dir: str) -> tuple[ModelParams, TrainConfig, float]:
+def read_manifest(out_dir: str) -> tuple[dict, TrainConfig]:
+    """A saved model's manifest and its training configuration, with the
+    schema version, the configuration and the held-out ``fold`` (null for
+    a model saved outside cross-validation) checked."""
     manifest_path = os.path.join(out_dir, "model.manifest.json")
-    bin_path = os.path.join(out_dir, "model.bin")
-    for path in (manifest_path, bin_path):
-        if not os.path.isfile(path):
-            raise FileNotFoundError(f"missing model file: {path}")
     with open(manifest_path, "r", encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
@@ -74,6 +77,26 @@ def load_model(out_dir: str) -> tuple[ModelParams, TrainConfig, float]:
         )
     try:
         config = TrainConfig(**manifest["config"])
+        fold = manifest["fold"]
+    except (KeyError, TypeError, ValueError) as exc:
+        # A missing field, an unknown config key or a bad value.
+        raise ConfigError(f"{manifest_path}: malformed manifest: {exc!r}") from None
+    if fold is not None and (type(fold) is not int or not 0 <= fold < config.fold_count):
+        raise ConfigError(
+            f"{manifest_path}: fold must be null or an integer in "
+            f"[0, {config.fold_count}), got {fold!r}"
+        )
+    return manifest, config
+
+
+def load_model(out_dir: str) -> tuple[ModelParams, TrainConfig, float]:
+    manifest_path = os.path.join(out_dir, "model.manifest.json")
+    bin_path = os.path.join(out_dir, "model.bin")
+    for path in (manifest_path, bin_path):
+        if not os.path.isfile(path):
+            raise FileNotFoundError(f"missing model file: {path}")
+    manifest, config = read_manifest(out_dir)
+    try:
         declared = [(item["name"], tuple(item["shape"])) for item in manifest["arrays"]]
         final_k = manifest["final_k"]
         # Feature and class counts come from the two arrays that carry them;
@@ -83,7 +106,6 @@ def load_model(out_dir: str) -> tuple[ModelParams, TrainConfig, float]:
             shapes.get("encoder.layer0", (0,))[0], shapes.get("classifier.w", (0, 0))[1], config
         )
     except (KeyError, IndexError, TypeError, ValueError) as exc:
-        # A missing field, an unknown config key or a bad value.
         raise ConfigError(f"{manifest_path}: malformed manifest: {exc!r}") from None
     # Saved models have k in [dk, 1]; a bool is no number, NaN fails both tests.
     if type(final_k) not in (int, float) or not 0.0 < final_k <= 1.0:
@@ -153,6 +175,8 @@ def write_csv(path: str, rows: list[dict]) -> None:
 
 def write_json(path: str, payload: dict) -> None:
     """Indented JSON and a final newline: the layout of every JSON artifact."""
+    # NaN and infinities, which JSON cannot hold, are refused before the
+    # file is opened.
+    text = json.dumps(payload, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")

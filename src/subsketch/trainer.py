@@ -11,31 +11,33 @@ layer's product X W0 is a row lookup of W0 by each node's category; no dense
 feature block is built, and ``Graph.features`` is never read.  A graph's
 constants are fixed-shape arrays built once (:func:`precompute_tensors`):
 (n, s, s) propagation blocks and (n*s,) categories (``Graph`` checks its
-labels) beside its :class:`SubgraphSet`.  The pipeline is given a batch's
-stacked categories, real or shuffled, and hands the encoder the stacked
-subgraph masks.  Every graph keeps the same number M of supernodes, so the
-selection is one (B, M) array of subgraph indices, supernode rows are
-grouped by graph, and sketch attention runs under one (B*M, M) mask, one
-M x M block per graph, never forming cross-graph pairs.  Top-k ranking and
-sketched-graph construction run per graph on plain numpy values between
-tape ops; the forward keeps only the selection and that mask.  The vote
-cross-entropy is one log-space tape op on the subgraph logits
-(``Tape.vote_nll``).
+labels) beside its :class:`SubgraphSet`.  :func:`batch_forward` is the one
+forward function, and :class:`ForwardResult` the one record it returns.
+Every graph keeps the same number M of supernodes, so the selection is one
+(B, M) array of subgraph indices, supernode rows are grouped by graph, and
+sketch attention runs under one (B*M, M) mask, one M x M block per graph,
+never forming cross-graph pairs.  Top-k ranking and sketched-graph
+construction run per graph on plain numpy values between tape ops; the
+forward keeps only the selection and that mask.  The vote cross-entropy is
+one log-space tape op on the subgraph logits (``Tape.vote_nll``).
 
 A training step records its forward on a ``Tape`` and runs backward on it
 once; backward frees each gradient as soon as it is used.
 :func:`evaluate_accuracy` runs the same forward, dropout off, on a
 forward-only ``Tape(training=False, record=False)`` that keeps nothing for
-backward, so each batch's intermediates are freed as the forward goes.
+backward, so each batch's intermediates are freed as the forward goes.  It
+lets a model of huge values overflow without warnings and raises
+``ScoresNotFinite`` when a graph's class distribution is not finite.
 :func:`cross_validate` trains each fold with :func:`train_fold`, in the
 parent or in pool workers, and then scores each returned model on its
-fold's test graphs itself.
+fold's test graphs itself; a fold scored non-finite is a diverged run.
 
 Variants:
     full        adaptive k, negatives from the previous graph in the batch
     fixed_k     agent frozen at k0, same objective as full
     no_mi       classification + L2 only
-    mi_corrupt  negatives from re-encoding feature-shuffled copies
+    mi_corrupt  negatives from batch_forward over copies of the batch's
+                GraphTensors whose categories are shuffled per graph
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from __future__ import annotations
 import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import partial
 
 import numpy as np
@@ -51,7 +53,7 @@ import numpy as np
 from .dataset import FoldPlan, Graph, batches, dataset_stats, make_folds
 from .diffcore import Node, Tape
 from .encoder import encode_subgraphs, glorot, propagation_matrix, subgraph_features
-from .errors import ConfigError, TrainingDiverged
+from .errors import ConfigError, ScoresNotFinite, TrainingDiverged
 from .pooling import PoolingAgent, annealed_epsilon, rank_topk
 from .sampler import SubgraphSet, build_sketched_graph, sample_subgraphs
 from .sketch_mi import attention_mask, corrupt, inter_attention_with_mask, mi_loss
@@ -232,13 +234,14 @@ def sgd_momentum_step(
 
 
 @dataclass(eq=False)
-class PipelineState:
-    """Tape nodes and plain arrays from one selection pipeline.
+class ForwardResult:
+    """Tape nodes and plain arrays from one forward pass.
 
     ``intra_weights`` is a plain array: the encoder's gradient flows through
     its embeddings, and only ``explain`` reads the weights.  Supernode rows
-    (``gates``, ``z_primes``, ``mask``) are grouped by graph: graph b owns
-    rows [b*M, (b+1)*M), in the order of ``selected[b]``.
+    (``gates``, ``z_primes``, ``mask``, ``sub_dists``) are grouped by graph:
+    graph b owns rows [b*M, (b+1)*M), in the order of ``selected[b]``.
+    ``loss`` and ``mi`` stay None when the pass computes no loss.
     """
 
     values: Node  # (B*n, 1) projection scores
@@ -247,25 +250,33 @@ class PipelineState:
     gates: Node  # (B*M, 1)
     mask: np.ndarray  # (B*M, M) sketch attention: 0 on sketch edges and the diagonal
     z_primes: Node  # (B*M, d2)
+    readouts: Node  # (B, d2)
+    sub_dists: Node  # (B*M, C)
+    graph_dists: Node  # (B, C)
+    correct: int
+    loss: Node | None = None
+    mi: Node | None = None
 
 
-def _run_pipeline(
+def batch_forward(
     bound: dict[str, Node],
     tensors: list[GraphTensors],
-    feats: np.ndarray,
+    labels: list[int],
     k: float,
     config: TrainConfig,
     tape: Tape,
-    rng: np.random.Generator | None,
-) -> PipelineState:
-    """``feats`` is the (B*n*s,) node category of every stacked row."""
+    rng: np.random.Generator | None = None,
+    corrupt_rng: np.random.Generator | None = None,
+    compute_loss: bool = True,
+) -> ForwardResult:
     n, batch = config.n, len(tensors)
     direction = tape.matmul(
         tape.transpose(bound["encoder.w_intra"]), bound["encoder.a_intra"]
     )
     embeddings, intra_weights = encode_subgraphs(
         tape, bound["encoder.layer0"], bound["encoder.layer1"], direction,
-        np.concatenate([t.prop_blocks for t in tensors]), feats,
+        np.concatenate([t.prop_blocks for t in tensors]),
+        np.concatenate([t.feats for t in tensors]),
         np.concatenate([t.subgraph_set.mask for t in tensors]), config.dropout, rng,
     )
 
@@ -278,6 +289,7 @@ def _run_pipeline(
     # Per-graph top-k on the numeric scores; every graph keeps the same M.
     local = [rank_topk(row, k) for row in values.value.reshape(batch, n)]
     selected = np.array(local, dtype=np.intp)
+    kept = selected.shape[1]
     rows = (selected + n * np.arange(batch)[:, None]).reshape(-1)
 
     chosen = tape.take_rows(embeddings, rows)
@@ -296,58 +308,22 @@ def _run_pipeline(
     ]
     z_primes, _ = inter_attention_with_mask(mask, gated, heads, tape)
 
-    return PipelineState(
-        values=values,
-        intra_weights=intra_weights,
-        selected=selected,
-        gates=gates,
-        mask=mask,
-        z_primes=z_primes,
-    )
-
-
-@dataclass(eq=False)
-class ForwardResult:
-    loss: Node | None
-    mi: Node | None
-    graph_dists: Node
-    sub_dists: Node
-    readouts: Node
-    state: PipelineState
-    correct: int
-
-
-def batch_forward(
-    bound: dict[str, Node],
-    tensors: list[GraphTensors],
-    labels: list[int],
-    k: float,
-    config: TrainConfig,
-    tape: Tape,
-    rng: np.random.Generator | None = None,
-    corrupt_rng: np.random.Generator | None = None,
-    compute_loss: bool = True,
-) -> ForwardResult:
-    feats = np.concatenate([t.feats for t in tensors])
-    state = _run_pipeline(bound, tensors, feats, k, config, tape, rng)
-    batch, kept = state.selected.shape
     # Each graph's mean over its block of M supernode rows.
     mean_weights = tape.constant(np.full((batch, kept), 1.0 / kept))
-    readouts = tape.rowblock_weighted_sum(mean_weights, state.z_primes)  # (B, d2)
-
-    logits = tape.add(
-        tape.matmul(state.z_primes, bound["classifier.w"]), bound["classifier.b"]
-    )
+    readouts = tape.rowblock_weighted_sum(mean_weights, z_primes)
+    logits = tape.add(tape.matmul(z_primes, bound["classifier.w"]), bound["classifier.b"])
     sub_dists = tape.softmax_rows(logits)
     graph_dists = tape.rowblock_weighted_sum(mean_weights, sub_dists)
-
     correct = int(
         np.sum(np.argmax(graph_dists.value, axis=1) == np.asarray(labels))
     )
+    result = ForwardResult(
+        values, intra_weights, selected, gates, mask, z_primes, readouts,
+        sub_dists, graph_dists, correct,
+    )
     if not compute_loss:
-        return ForwardResult(None, None, graph_dists, sub_dists, readouts, state, correct)
+        return result
 
-    mi = None
     if config.variant != "no_mi":
         # The bilinear score z W r of a (supernode z, readout r) pair is
         # z . (r W^T): W meets the B readouts once, and each pair is a row
@@ -355,34 +331,36 @@ def batch_forward(
         # same count M, so both kinds of negative share the row -> graph map.
         summary = tape.matmul(readouts, tape.transpose(bound["sketch.w_mi"]))
         own = tape.repeat_rows(summary, kept)
-        pos = tape.rowdot(state.z_primes, own)
+        pos = tape.rowdot(z_primes, own)
         if config.variant != "mi_corrupt":
-            if len(tensors) < 2:
+            if batch < 2:
                 raise ConfigError(
                     f"{config.variant} negatives need a batch of at least 2 graphs"
                 )
             # Graph b's supernodes meet the previous graph's summary, and
             # graph 0's meet the last graph's.
             previous = tape.repeat_rows(summary, kept, shift=1)
-            neg = tape.rowdot(state.z_primes, previous)
-        else:  # mi_corrupt: re-run the pipeline on shuffled features
+            neg = tape.rowdot(z_primes, previous)
+        else:  # mi_corrupt: the same forward over feature-shuffled copies
             # One shuffle per graph, shared by all its subgraphs, so that
             # overlapping subgraphs agree on each node's corrupted category.
-            shuffled = np.concatenate([
-                subgraph_features(
+            shuffled = [
+                replace(t, feats=subgraph_features(
                     t.subgraph_set,
                     corrupt(np.asarray(t.graph.node_labels, dtype=np.intp), corrupt_rng),
-                )
+                ))
                 for t in tensors
-            ])
-            twisted = _run_pipeline(bound, tensors, shuffled, k, config, tape, rng)
+            ]
+            twisted = batch_forward(
+                bound, shuffled, labels, k, config, tape, rng, compute_loss=False
+            )
             neg = tape.rowdot(twisted.z_primes, own)
-        mi = mi_loss(pos, neg, tape)
+        result.mi = mi_loss(pos, neg, tape)
 
-    loss = total_loss(
-        logits, labels, kept, mi, list(bound.values()), config.beta, config.l2, tape
+    result.loss = total_loss(
+        logits, labels, kept, result.mi, list(bound.values()), config.beta, config.l2, tape
     )
-    return ForwardResult(loss, mi, graph_dists, sub_dists, readouts, state, correct)
+    return result
 
 
 @dataclass(eq=False)
@@ -407,6 +385,17 @@ def _fold_seed(config: TrainConfig, fold: int) -> int:
     return int(np.random.SeedSequence([config.seed, fold]).generate_state(1)[0])
 
 
+def check_scores(result: ForwardResult, tensors: list[GraphTensors]) -> None:
+    """Raise :class:`ScoresNotFinite` naming the first graph of the batch
+    whose class distribution is not finite."""
+    finite = np.isfinite(result.graph_dists.value)
+    if not finite.all():
+        graph = tensors[int(np.argmin(finite.all(axis=1)))].graph
+        raise ScoresNotFinite(
+            f"the model gives graph {graph.index} a class distribution that is not finite"
+        )
+
+
 def evaluate_accuracy(
     model: ModelParams,
     tensors: dict[int, GraphTensors],
@@ -422,9 +411,12 @@ def evaluate_accuracy(
         labels = [tensors[i].graph.label for i in chunk]
         tape = Tape(training=False, record=False)
         bound = bind_model(model, tape)
-        result = batch_forward(
-            bound, chunk_tensors, labels, k, config, tape, compute_loss=False
-        )
+        # A finite model of huge values overflows; check_scores reports it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = batch_forward(
+                bound, chunk_tensors, labels, k, config, tape, compute_loss=False
+            )
+        check_scores(result, chunk_tensors)
         correct += result.correct
     return correct / len(graph_ids)
 
@@ -551,9 +543,12 @@ def cross_validate(
     else:
         results = [run_fold(f) for f in range(config.fold_count)]
     for r in results:
-        r.test_accuracy = evaluate_accuracy(
-            r.model, tensors, plan.split(r.fold)[1], r.final_k, config
-        )
+        try:
+            r.test_accuracy = evaluate_accuracy(
+                r.model, tensors, plan.split(r.fold)[1], r.final_k, config
+            )
+        except ScoresNotFinite as exc:
+            raise TrainingDiverged(f"training diverged in fold {r.fold}: {exc}") from None
 
     accuracies = [r.test_accuracy for r in results]
     report = RunReport(

@@ -217,16 +217,53 @@ def test_repeat_run_is_byte_identical(trained):
 def test_evaluate_reports_fold_accuracy(trained, capsys):
     root, out = trained
     args = [
-        "evaluate", "1",
+        "evaluate",
         "--dataset", "SYN",
         "--data-dir", str(root / "data"),
         "--out-dir", str(out),
     ]
     assert main(args) == 0
-    message = capsys.readouterr().out
-    match = re.search(r"fold 1: accuracy (\d\.\d{4})", message)
-    assert match is not None
-    assert 0.0 <= float(match.group(1)) <= 1.0
+    fold = json.loads((out / "model.manifest.json").read_text())["fold"]
+    accuracy = json.loads((out / "report.json").read_text())["fold_accuracies"][fold]
+    assert f"fold {fold}: accuracy {accuracy:.4f}" in capsys.readouterr().out
+
+
+def test_evaluate_scores_the_fold_the_model_held_out(workspace, capsys):
+    # Seed 2 saves the model that held out fold 7, which trained on fold 0.
+    assert main(_train_args(workspace, "out_seed2", ["--seed", "2", "--epochs", "3"])) == 0
+    out = workspace / "out_seed2"
+    fold = json.loads((out / "model.manifest.json").read_text())["fold"]
+    accuracy = json.loads((out / "report.json").read_text())["fold_accuracies"][fold]
+    assert fold != 0
+    capsys.readouterr()
+    assert _evaluate_exit(workspace, out) == 0
+    assert f"fold {fold}: accuracy {accuracy:.4f}" in capsys.readouterr().out
+    assert _evaluate_exit(workspace, out, str(fold)) == 0
+    assert f"fold {fold}: accuracy {accuracy:.4f}" in capsys.readouterr().out
+    assert _evaluate_exit(workspace, out, "0") == 2
+    err = capsys.readouterr().err
+    assert f"held out fold {fold} and trained on the graphs of fold 0" in err
+
+
+def test_evaluate_of_a_model_saved_with_no_fold_needs_one(trained, tmp_path, capsys):
+    manifest_path, manifest = _doctored_model(trained, tmp_path)
+    manifest["fold"] = None  # how a model saved outside cross-validation reads
+    manifest_path.write_text(json.dumps(manifest))
+    args = ["--dataset", "SYN", "--data-dir", str(trained[0] / "data"), "--out-dir", str(tmp_path)]
+    assert main(["evaluate", *args]) == 2
+    assert f"{manifest_path} names no held-out fold" in capsys.readouterr().err
+    assert main(["evaluate", "4", *args]) == 0
+    assert "fold 4: accuracy" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fold", [True, -1, 10, 1.0, "0"], ids=repr)
+def test_evaluate_rejects_a_manifest_fold_off_the_fold_range(trained, tmp_path, capsys, fold):
+    manifest_path, manifest = _doctored_model(trained, tmp_path)
+    manifest["fold"] = fold
+    manifest_path.write_text(json.dumps(manifest))
+    assert _evaluate_exit(trained[0], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert f"{manifest_path}: fold must be null or an integer in [0, 10)" in err
 
 
 def test_evaluate_fold_out_of_range(trained, capsys):
@@ -261,9 +298,9 @@ def _doctored_model(trained, tmp_path):
     return manifest_path, json.loads(manifest_path.read_text())
 
 
-def _evaluate_exit(root, out_dir):
+def _evaluate_exit(root, out_dir, *fold):
     return main([
-        "evaluate",
+        "evaluate", *fold,
         "--dataset", "SYN",
         "--data-dir", str(root / "data"),
         "--out-dir", str(out_dir),
@@ -429,6 +466,52 @@ def test_non_finite_model_values_exit_two(trained, tmp_path, capsys, poison, fir
     err = capsys.readouterr().err
     assert str(blob) in err and f"array {first} holds a NaN or an infinity" in err
     assert not (tmp_path / "graph_3.json").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "explain"])
+def test_finite_but_huge_model_exits_two_naming_model_bin(trained, tmp_path, capsys, command):
+    """Every value passes the finiteness check, but the scores overflow: the
+    command once warned, scored NaN as class 0 and wrote NaN into JSON."""
+    _doctored_model(trained, tmp_path)
+    blob = tmp_path / "model.bin"
+    values = np.frombuffer(blob.read_bytes(), dtype="<f8") * 1e300
+    assert np.isfinite(values).all()
+    blob.write_bytes(values.astype("<f8").tobytes())
+    args = [
+        command, *(["5"] if command == "explain" else []),
+        "--dataset", "SYN",
+        "--data-dir", str(trained[0] / "data"),
+        "--out-dir", str(tmp_path),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        rf"error: {re.escape(str(blob))}: the model gives graph \d+ a class "
+        r"distribution that is not finite\n", err
+    ), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin", "model.manifest.json"]
+
+
+def test_train_fold_whose_model_scores_non_finite_exits_one(workspace, monkeypatch, capsys):
+    import subsketch.trainer as trainer
+
+    train_fold = trainer.train_fold
+
+    def huge(*args, **kwargs):
+        result = train_fold(*args, **kwargs)
+        for arr in result.model.values():
+            arr *= 1e300
+        return result
+
+    monkeypatch.setattr(trainer, "train_fold", huge)
+    assert main(_train_args(workspace, "out_huge_model", ["--epochs", "1"])) == 1
+    assert re.fullmatch(
+        r"error: training diverged in fold 0: the model gives graph \d+ a class "
+        r"distribution that is not finite\n", capsys.readouterr().err
+    )
+    assert not (workspace / "out_huge_model" / "model.bin").exists()
 
 
 def test_evaluate_rejects_model_bin_of_partial_values(trained, tmp_path, capsys):
@@ -912,7 +995,7 @@ def _run(args):
 @settings(max_examples=15, deadline=None, derandomize=True)
 @given(tu_runs())
 def test_generated_datasets_run_or_exit_two(run):
-    """train, evaluate 0 and explain 0 on generated TU directories: a valid
+    """train, evaluate and explain 0 on generated TU directories: a valid
     one trains to byte-identical artifacts when repeated with its seed, and
     a corrupted one exits 2 naming the file (and the line, where there is
     one)."""
@@ -937,7 +1020,7 @@ def test_generated_datasets_run_or_exit_two(run):
                 with open(os.path.join(tmp, "out", artifact), "rb") as a, \
                         open(os.path.join(tmp, "again", artifact), "rb") as b:
                     assert a.read() == b.read(), artifact
-            assert _run(command("evaluate", "data", "out", "0"))[0] == 0
+            assert _run(command("evaluate", "data", "out"))[0] == 0
             assert _run(command("explain", "data", "out", "0"))[0] == 0
         if corruption is None:
             return
@@ -947,7 +1030,7 @@ def test_generated_datasets_run_or_exit_two(run):
         where = name if line is None else f"{name}:{line}"
         runs = [command("train", "bad", "bad_out")]
         if first == 0:  # a saved model to open, so the dataset is read
-            runs += [command("evaluate", "bad", "out", "0"), command("explain", "bad", "out", "0")]
+            runs += [command("evaluate", "bad", "out"), command("explain", "bad", "out", "0")]
         for args in runs:
             status, err = _run(args)
             assert status == 2 and where in err, (args, err)

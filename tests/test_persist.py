@@ -12,6 +12,7 @@ from subsketch.persist import (
     load_model,
     save_model,
     write_csv,
+    write_json,
     write_report,
 )
 from subsketch.trainer import FoldResult, ModelParams, RunReport, TrainConfig, init_model
@@ -95,6 +96,14 @@ def test_load_model_rejects_truncated_binary(tmp_path):
     (tmp_path / "model.bin").write_bytes(blob + b"\x00" * 8)
     with pytest.raises(ConfigError, match="manifest describes"):
         load_model(str(tmp_path))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_json_artifacts_never_hold_nan_or_infinity(tmp_path, value):
+    path = tmp_path / "graph_5.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_json(str(path), {"graph_distribution": [0.5, value]})
+    assert not path.exists()
 
 
 def test_report_payload(tmp_path):
