@@ -141,10 +141,12 @@ def _load_graphs(paths: Paths):
     return parse_tu_dataset(paths.dataset_dir, paths.dataset)
 
 
-def _open_saved(args: argparse.Namespace):
-    """``(paths, model, config, final_k, graphs)`` for a saved model, refusing
-    before any forward pass a dataset with more node categories or classes
-    than the model's first layer and classifier hold."""
+@contextmanager
+def _saved_model(args: argparse.Namespace):
+    """Open a saved model as ``(paths, model, config, final_k, graphs)``,
+    refusing before any forward pass a dataset with more node categories or
+    classes than the model's first layer and classifier hold.  Scores that
+    are not finite inside the block exit 2, naming the model's ``model.bin``."""
     paths = resolve_paths(args, {})
     model, config, final_k = load_model(paths.out_dir)
     graphs = _load_graphs(paths)
@@ -159,7 +161,10 @@ def _open_saved(args: argparse.Namespace):
                 f"{paths.dataset_dir} has {need} {what}, but the model in "
                 f"{manifest} was trained on {have}"
             )
-    return paths, model, config, final_k, graphs
+    try:
+        yield paths, model, config, final_k, graphs
+    except ScoresNotFinite as exc:
+        raise ConfigError(f"{os.path.join(paths.out_dir, 'model.bin')}: {exc}") from None
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -190,32 +195,22 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-@contextmanager
-def _scoring(paths: Paths):
-    """A saved model's non-finite scores exit 2, naming its ``model.bin``."""
-    try:
-        yield
-    except ScoresNotFinite as exc:
-        raise ConfigError(f"{os.path.join(paths.out_dir, 'model.bin')}: {exc}") from None
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
     """Score the fold the saved model held out; a model saved with no fold
     (outside cross-validation) scores the fold given."""
-    paths, model, config, final_k, graphs = _open_saved(args)
-    saved = read_manifest(paths.out_dir)[0]["fold"]
-    fold = saved if args.fold is None else args.fold
-    manifest = os.path.join(paths.out_dir, "model.manifest.json")
-    if fold is None:
-        raise ConfigError(f"the model in {manifest} names no held-out fold; give a fold")
-    _, test_ids = make_folds(graphs, config.seed, config.fold_count).split(fold)
-    if saved is not None and fold != saved:
-        raise ConfigError(
-            f"the model in {manifest} held out fold {saved} and trained on the "
-            f"graphs of fold {fold}; evaluate fold {saved}"
-        )
-    tensors = {i: precompute_tensors(graphs[i], config.n, config.s) for i in test_ids}
-    with _scoring(paths):
+    with _saved_model(args) as (paths, model, config, final_k, graphs):
+        saved = read_manifest(paths.out_dir)[0]["fold"]
+        fold = saved if args.fold is None else args.fold
+        manifest = os.path.join(paths.out_dir, "model.manifest.json")
+        if fold is None:
+            raise ConfigError(f"the model in {manifest} names no held-out fold; give a fold")
+        _, test_ids = make_folds(graphs, config.seed, config.fold_count).split(fold)
+        if saved is not None and fold != saved:
+            raise ConfigError(
+                f"the model in {manifest} held out fold {saved} and trained on the "
+                f"graphs of fold {fold}; evaluate fold {saved}"
+            )
+        tensors = {i: precompute_tensors(graphs[i], config.n, config.s) for i in test_ids}
         accuracy = evaluate_accuracy(model, tensors, test_ids, final_k, config)
     print(
         f"{paths.dataset} fold {fold}: accuracy {accuracy:.4f} "
@@ -264,14 +259,13 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    paths, model, config, final_k, graphs = _open_saved(args)
-    if not 0 <= args.graph_id < len(graphs):
-        raise ConfigError(
-            f"unknown graph id {args.graph_id} "
-            f"(dataset has graphs 0..{len(graphs) - 1})"
-        )
-    graph = graphs[args.graph_id]
-    with _scoring(paths):
+    with _saved_model(args) as (paths, model, config, final_k, graphs):
+        if not 0 <= args.graph_id < len(graphs):
+            raise ConfigError(
+                f"unknown graph id {args.graph_id} "
+                f"(dataset has graphs 0..{len(graphs) - 1})"
+            )
+        graph = graphs[args.graph_id]
         detail = explain_graph(model, config, graph, final_k)
     dot_path = os.path.join(paths.out_dir, f"graph_{graph.index}.dot")
     json_path = os.path.join(paths.out_dir, f"graph_{graph.index}.json")

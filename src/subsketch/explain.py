@@ -1,15 +1,15 @@
 """Per-graph inspection: which subgraphs the model selected and why.
 
-``explain_graph`` runs one graph through :func:`~.trainer.batch_forward`
-in evaluation mode, on a forward-only tape that records nothing for
-backward, and reads projection scores, gates, attention weights, and
-per-subgraph class votes from its :class:`~.trainer.ForwardResult`.  A
-class distribution that is not finite raises ``ScoresNotFinite``.  The sketch edges are the live entries above the diagonal of
-the forward's sketch-attention mask, row by row.  The result renders two
-ways: a DOT file (selected subgraphs as clusters, node fill color by label
-category, node size growing with intra-subgraph attention weight over a
-small legibility floor, omitted nodes grey) and a JSON file with the raw
-numbers.
+``explain_graph`` scores one graph with :func:`~.trainer.score_batch`, the
+forward-only pass that evaluation also runs (scores that are not finite
+raise ``ScoresNotFinite`` there), and reads projection scores, gates,
+attention weights, and per-subgraph class votes from its
+:class:`~.trainer.ForwardResult`.  The sketch edges are the live entries
+above the diagonal of the forward's sketch-attention mask, row by row.  The
+result renders two ways: a DOT file (selected subgraphs as clusters, node
+fill color by label category, node size growing with intra-subgraph
+attention weight over a small legibility floor, omitted nodes grey) and a
+JSON file with the raw numbers.
 """
 
 from __future__ import annotations
@@ -17,16 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import Graph
-from .diffcore import Tape
 from .persist import write_json
-from .trainer import (
-    ModelParams,
-    TrainConfig,
-    batch_forward,
-    bind_model,
-    check_scores,
-    precompute_tensors,
-)
+from .trainer import ModelParams, TrainConfig, precompute_tensors, score_batch
 
 PALETTE = (
     "#4e79a7", "#f28e2b", "#59a14f", "#e15759", "#76b7b2",
@@ -38,13 +30,7 @@ def explain_graph(
     model: ModelParams, config: TrainConfig, graph: Graph, k: float
 ) -> dict:
     tensors = precompute_tensors(graph, config.n, config.s)
-    tape = Tape(training=False, record=False)
-    bound = bind_model(model, tape)
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = batch_forward(
-            bound, [tensors], [graph.label], k, config, tape, compute_loss=False
-        )
-    check_scores(result, [tensors])
+    result = score_batch(model, [tensors], k, config)
     values = result.values.value[:, 0]
     gates = result.gates.value[:, 0]
     sub_dists = result.sub_dists.value

@@ -39,3 +39,21 @@ def test_traced_run_reports_every_per_layer_metric():
     # The tracer counts kept and scored subgraphs from each per-graph top-k
     # call; a batched (B, n) call would read as every subgraph kept.
     assert 0.0 < metrics["pooling.kept_ratio"] < 1.0
+
+
+def test_saved_model_workload_runs_untraced():
+    """``proteins_eval`` is the one workload that loads a saved model and
+    scores and explains graphs with it."""
+    proc = subprocess.run(
+        [
+            sys.executable, os.path.join(ROOT, "bench", "run.py"),
+            "--workload", "proteins_eval", "--seed", "1", "--seconds", "1",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0

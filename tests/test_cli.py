@@ -377,6 +377,30 @@ def test_manifest_config_of_wrong_type_or_sign_exits_two(
 
 
 @pytest.mark.parametrize(
+    "command, fold_count, fold",
+    [("evaluate", 0, 0), ("evaluate", 1, None), ("explain", 1, None)],
+)
+def test_manifest_of_fewer_than_two_folds_exits_two(
+    trained, tmp_path, capsys, command, fold_count, fold
+):
+    """Such a model once blamed its fold, explained graphs with exit 0, or
+    failed in the fold split without naming the manifest."""
+    manifest_path, manifest = _doctored_model(trained, tmp_path)
+    manifest["config"]["fold_count"] = fold_count
+    manifest["fold"] = fold
+    manifest_path.write_text(json.dumps(manifest))
+    args = [
+        command, "0" if command == "evaluate" else "3",
+        "--dataset", "SYN",
+        "--data-dir", str(trained[0] / "data"),
+        "--out-dir", str(tmp_path),
+    ]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert str(manifest_path) in err and "fold_count must be at least 2" in err
+
+
+@pytest.mark.parametrize(
     "final_k",
     [float("nan"), float("inf"), 0, -0.5, 7.5, "0.5", True],
     ids=["NaN", "Infinity", "0", "-0.5", "7.5", "string", "true"],

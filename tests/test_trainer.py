@@ -98,6 +98,12 @@ def test_config_rejects_malformed_training_settings(field, value):
         TrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize("fold_count", [1, 0, -3])
+def test_config_rejects_fewer_than_two_folds(fold_count):
+    with pytest.raises(ConfigError, match="^fold_count must be at least 2"):
+        TrainConfig(fold_count=fold_count)
+
+
 def test_classify_single_subgraph_is_its_own_softmax():
     tape = Tape()
     z = tape.constant(np.array([[0.3, -0.2, 0.9]]))
