@@ -4,12 +4,16 @@
 forward-only pass that evaluation also runs (scores that are not finite
 raise ``ScoresNotFinite`` there), and reads projection scores, gates,
 attention weights, and per-subgraph class votes from its
-:class:`~.trainer.ForwardResult`.  The sketch edges are the live entries
-above the diagonal of the forward's sketch-attention mask, row by row.  The
-result renders two ways: a DOT file (selected subgraphs as clusters, node
-fill color by label category, node size growing with intra-subgraph
-attention weight over a small legibility floor, omitted nodes grey) and a
-JSON file with the raw numbers.
+:class:`~.trainer.ForwardResult`, turning each array into Python numbers
+with one ``tolist``.  Its tensors come from
+:func:`~.trainer.precompute_tensors`, which keeps them on the graph: a graph
+that setup already precomputed at the config's ``(n, s)`` is not sampled
+again.  The sketch edges are the live entries above the diagonal of the
+forward's sketch-attention mask, row by row.  The result renders two ways:
+a DOT file (selected subgraphs as clusters, node fill color by label
+category, node size growing with intra-subgraph attention weight over a
+small legibility floor, omitted nodes grey) and a JSON file with the raw
+numbers.
 """
 
 from __future__ import annotations
@@ -31,48 +35,49 @@ def explain_graph(
 ) -> dict:
     tensors = precompute_tensors(graph, config.n, config.s)
     result = score_batch(model, [tensors], k, config)
-    values = result.values.value[:, 0]
-    gates = result.gates.value[:, 0]
-    sub_dists = result.sub_dists.value
-    intra = result.intra_weights
+    values = result.values.value[:, 0].tolist()
+    gates = result.gates.value[:, 0].tolist()
+    sub_dists = result.sub_dists.value.tolist()
+    intra = result.intra_weights.tolist()
     selected = result.selected[0].tolist()
+    kept = set(selected)
+    # A subgraph's real entries come first in its row, so its members are
+    # the row's first ids, and a zip with them drops its weights' pads.
     ss = tensors.subgraph_set
-    members = [row[real].tolist() for row, real in zip(ss.nodes, ss.mask)]
+    members = [
+        row[:size] for row, size in zip(ss.nodes.tolist(), ss.mask.sum(axis=1).tolist())
+    ]
 
-    subgraphs = []
-    for i, nodes in enumerate(members):
-        subgraphs.append(
-            {
-                "index": i,
-                "central_node": nodes[0],
-                "nodes": nodes,
-                "val": float(values[i]),
-                "selected": i in selected,
-            }
-        )
-    selected_detail = []
-    for rank, i in enumerate(selected):
-        selected_detail.append(
-            {
-                "index": i,
-                "val": float(values[i]),
-                "gate": float(gates[rank]),
-                "nodes": members[i],
-                "intra_weights": {
-                    str(node): float(w)
-                    for node, w in zip(members[i], intra[i][ss.mask[i]])
-                },
-                "class_distribution": [float(x) for x in sub_dists[rank]],
-            }
-        )
+    subgraphs = [
+        {
+            "index": i,
+            "central_node": nodes[0],
+            "nodes": nodes,
+            "val": values[i],
+            "selected": i in kept,
+        }
+        for i, nodes in enumerate(members)
+    ]
+    selected_detail = [
+        {
+            "index": i,
+            "val": values[i],
+            "gate": gates[rank],
+            "nodes": members[i],
+            "intra_weights": {str(node): w for node, w in zip(members[i], intra[i])},
+            "class_distribution": sub_dists[rank],
+        }
+        for rank, i in enumerate(selected)
+    ]
     rows, cols = np.nonzero(np.triu(result.mask == 0.0, 1))
+    graph_dist = result.graph_dists.value[0]
     return {
         "graph_id": graph.index,
         "true_label": graph.label,
         "k": k,
         "selection_count": len(selected),
-        "predicted_label": int(np.argmax(result.graph_dists.value[0])),
-        "graph_distribution": [float(x) for x in result.graph_dists.value[0]],
+        "predicted_label": int(np.argmax(graph_dist)),
+        "graph_distribution": graph_dist.tolist(),
         "subgraphs": subgraphs,
         "selected_subgraphs": selected_detail,
         "sketch_edges": [

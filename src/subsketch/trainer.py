@@ -11,7 +11,9 @@ layer's product X W0 is a row lookup of W0 by each node's category; no dense
 feature block is built, and ``Graph.features`` is never read.  A graph's
 constants are fixed-shape arrays built once (:func:`precompute_tensors`):
 (n, s, s) propagation blocks and (n*s,) categories (``Graph`` checks its
-labels) beside its :class:`SubgraphSet`.  :func:`batch_forward` is the one
+labels) beside its :class:`SubgraphSet`.  They are kept read-only on the
+graph for one (n, s) at a time, so ``ablate``'s variants and ``explain``
+reuse what setup sampled.  :func:`batch_forward` is the one
 forward function, and :class:`ForwardResult` the one record it returns.
 Every graph keeps the same number M of supernodes, so the selection is one
 (B, M) array of subgraph indices, supernode rows are grouped by graph, and
@@ -193,14 +195,27 @@ class GraphTensors:
     feats: np.ndarray  # (n*s,) intp node category per stacked row; pads hold 0
 
 
+_TENSORS_SLOT = "_precomputed"  # Graph.__dict__ key: ((n, s), subgraph set, blocks, feats)
+
+
 def precompute_tensors(graph: Graph, n: int, s: int) -> GraphTensors:
-    ss = sample_subgraphs(graph, n, s)
-    return GraphTensors(
-        graph,
-        ss,
-        propagation_matrix(ss.adjacency, ss.mask),
-        subgraph_features(ss, np.asarray(graph.node_labels, dtype=np.intp)),
-    )
+    """The graph's constants at ``(n, s)``, sampled once per graph and shape.
+
+    The arrays are kept read-only in one slot of the graph's ``__dict__``,
+    as ``cached_property`` keeps ``num_categories``; a repeat call at the
+    same shape wraps them in a new :class:`GraphTensors`, and another shape
+    replaces the slot.  The slot holds no ``GraphTensors``, whose ``graph``
+    would point back at the graph: the arrays go with the graph, no cycle.
+    """
+    slot = graph.__dict__.get(_TENSORS_SLOT)
+    if slot is None or slot[0] != (n, s):
+        ss = sample_subgraphs(graph, n, s)
+        blocks = propagation_matrix(ss.adjacency, ss.mask)
+        feats = subgraph_features(ss, np.asarray(graph.node_labels, dtype=np.intp))
+        for array in (ss.nodes, ss.mask, ss.adjacency, ss.overlap, blocks, feats):
+            array.setflags(write=False)
+        slot = graph.__dict__[_TENSORS_SLOT] = ((n, s), ss, blocks, feats)
+    return GraphTensors(graph, *slot[1:])
 
 
 def total_loss(

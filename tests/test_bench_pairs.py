@@ -1,10 +1,13 @@
-"""``tools/bench_pairs.py``: its verdict per metric, and its refusal of a
-run that is not correct or of two checkouts of different benchmarks."""
+"""``tools/bench_pairs.py``: its verdict per metric, the page faults it
+records per run, and its refusal of a run that is not correct or of two
+checkouts of different benchmarks."""
 
 import importlib.util
 import json
 import os
+import resource
 import subprocess
+from types import SimpleNamespace
 
 import pytest
 
@@ -82,6 +85,23 @@ def test_a_run_that_is_not_correct_stops_the_script(tmp_path, correct, failed):
 def test_a_correct_run_is_returned(tmp_path):
     run = bench_pairs.run_once(_fake_checkout(tmp_path, True, 0), "mutag_train", 3, 0.1)
     assert run["seed"] == 3 and run["correct"] is True and run["failed"] == 0
+    # Starting an interpreter alone faults pages in.
+    assert isinstance(run["minflt"], int) and run["minflt"] > 0
+    assert bench_pairs.brief(run)["minflt"] == run["minflt"]
+
+
+def test_a_run_records_its_childrens_minor_faults_around_it(tmp_path, monkeypatch):
+    totals = iter([1000, 1250])
+    asked = []
+
+    def getrusage(who):
+        asked.append(who)
+        return SimpleNamespace(ru_minflt=next(totals))
+
+    monkeypatch.setattr(bench_pairs.resource, "getrusage", getrusage)
+    run = bench_pairs.run_once(_fake_checkout(tmp_path, True, 0), "mutag_train", 3, 0.1)
+    assert run["minflt"] == 250
+    assert asked == [resource.RUSAGE_CHILDREN] * 2
 
 
 SPEC = {"command": ["python3", "bench/run.py"], "run_seconds": 0.1,

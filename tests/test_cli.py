@@ -803,6 +803,24 @@ def test_ablate_adaptive_variant_moves_k(ablated):
     assert {row["k"] for row in rows} != {1.0}
 
 
+def test_ablate_samples_each_graph_once(workspace, tmp_path, monkeypatch):
+    # The four variants share n and s, so the three after the first reuse
+    # the subgraphs the first one sampled.
+    import subsketch.trainer as trainer
+
+    sampled = []
+    sample = trainer.sample_subgraphs
+    monkeypatch.setattr(
+        trainer, "sample_subgraphs", lambda g, n, s: sampled.append(g.index) or sample(g, n, s)
+    )
+    args = [
+        "ablate", "--dataset", "SYN", "--data-dir", str(workspace / "data"),
+        "--out-dir", str(tmp_path / "ab"), "--n", "4", "--s", "4", "--epochs", "1",
+    ]
+    assert main(args) == 0
+    assert sorted(sampled) == list(range(30))
+
+
 # --- explain ------------------------------------------------------------
 
 NODE_LINE = re.compile(

@@ -1,4 +1,7 @@
+import copy
+import gc
 import tracemalloc
+import weakref
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -13,6 +16,7 @@ from subsketch.sampler import build_sketched_graph, sample_subgraphs
 from subsketch.sketch_mi import mi_loss
 from subsketch.explain import explain_graph
 from subsketch.trainer import (
+    _TENSORS_SLOT,
     VARIANTS,
     ForwardResult,
     ModelParams,
@@ -357,8 +361,11 @@ def test_precompute_keeps_each_array_at_its_width():
     3 KiB of Python objects, which one more float64 (n, s) array would
     overrun."""
     n, s = 30, 8
-    graph = random_graph(np.random.default_rng(5), num_nodes=60, edge_prob=0.1)
-    precompute_tensors(graph, n, s)  # warm any lazy state first
+    rng = np.random.default_rng(5)
+    graph = random_graph(rng, num_nodes=60, edge_prob=0.1)
+    # Warm any lazy state first, on another graph: a second call on this one
+    # would only read back its first call's arrays.
+    precompute_tensors(random_graph(rng, num_nodes=60, edge_prob=0.1), n, s)
     tracemalloc.start()
     try:
         tensors = precompute_tensors(graph, n, s)
@@ -368,6 +375,84 @@ def test_precompute_keeps_each_array_at_its_width():
     arrays = n * s * s * (8 + 1) + n * s * (8 + 8 + 1) + n * n * 2
     assert kept <= arrays + 3 * 1024, f"{kept} bytes kept, arrays need {arrays}"
     assert tensors.subgraph_set.adjacency.nbytes == n * s * s
+
+
+def _counting_sampler(monkeypatch):
+    """Patch the sampler that precompute calls; returns the list of
+    ``(graph, n, s)`` calls it sees."""
+    import subsketch.trainer as trainer
+
+    sampled = []
+    sample = trainer.sample_subgraphs
+
+    def counting(graph, n, s):
+        sampled.append((graph, n, s))
+        return sample(graph, n, s)
+
+    monkeypatch.setattr(trainer, "sample_subgraphs", counting)
+    return sampled
+
+
+def test_a_repeat_precompute_samples_nothing(monkeypatch):
+    graph = random_graph(np.random.default_rng(6), num_nodes=20, edge_prob=0.2)
+    sampled = _counting_sampler(monkeypatch)
+    first = precompute_tensors(graph, 6, 4)
+    again = precompute_tensors(graph, 6, 4)
+    assert sampled == [(graph, 6, 4)]
+    assert again is not first and again.graph is graph
+    assert again.subgraph_set is first.subgraph_set
+    assert again.prop_blocks is first.prop_blocks and again.feats is first.feats
+
+
+def test_another_shape_replaces_the_precomputed_slot(monkeypatch):
+    graph = random_graph(np.random.default_rng(7), num_nodes=20, edge_prob=0.2)
+    sampled = _counting_sampler(monkeypatch)
+    first = precompute_tensors(graph, 6, 4)
+    other = precompute_tensors(graph, 5, 4)
+    back = precompute_tensors(graph, 6, 4)
+    assert [shape for _, *shape in sampled] == [[6, 4], [5, 4], [6, 4]]
+    assert other.prop_blocks.shape == (5, 4, 4)
+    assert back.prop_blocks is not first.prop_blocks
+    assert back.prop_blocks.tobytes() == first.prop_blocks.tobytes()
+
+
+@pytest.mark.parametrize(
+    "array",
+    ["prop_blocks", "feats", "subgraph_set.nodes", "subgraph_set.mask",
+     "subgraph_set.adjacency", "subgraph_set.overlap"],
+)
+def test_precomputed_arrays_refuse_in_place_writes(array):
+    graph = random_graph(np.random.default_rng(8), num_nodes=12, edge_prob=0.3)
+    tensors = precompute_tensors(graph, 4, 3)
+    owner, _, name = array.rpartition(".")
+    target = getattr(tensors.subgraph_set if owner else tensors, name)
+    with pytest.raises(ValueError, match="read-only"):
+        target[0] = 0
+
+
+def test_precomputed_graph_is_freed_without_the_cyclic_gc():
+    graph = random_graph(np.random.default_rng(9), num_nodes=20, edge_prob=0.2)
+    precompute_tensors(graph, 6, 4)
+    tensors = precompute_tensors(graph, 6, 4)
+    ref = weakref.ref(graph)
+    gc.disable()
+    try:
+        del graph
+        assert ref() is not None  # the tensors still hold the graph
+        del tensors
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_explain_of_a_precomputed_graph_matches_a_fresh_copy(dataset):
+    config = tiny_config(n=5, s=4)
+    model = init_model(np.random.default_rng(3), 4, 2, config)
+    graph = dataset[5]
+    precompute_tensors(graph, config.n, config.s)
+    fresh = copy.copy(graph)
+    assert _TENSORS_SLOT in vars(graph) and _TENSORS_SLOT not in vars(fresh)
+    assert explain_graph(model, config, graph, 0.5) == explain_graph(model, config, fresh, 0.5)
 
 
 def test_mi_corrupt_shuffles_each_graph_once(dataset, monkeypatch):
@@ -720,7 +805,11 @@ def test_nan_in_an_unselected_subgraph_stops_training(dataset, variant):
     plan = make_folds(dataset, config.seed, config.fold_count)
     train_ids, _ = plan.split(0)
     tensors = {g.index: precompute_tensors(g, config.n, config.s) for g in dataset}
-    tensors[train_ids[0]].prop_blocks[2, 0, 0] = np.nan
+    # The precomputed arrays are read-only and shared with every later
+    # precompute of the graph, so the poison goes into a copy.
+    poisoned = tensors[train_ids[0]].prop_blocks.copy()
+    poisoned[2, 0, 0] = np.nan
+    tensors[train_ids[0]] = replace(tensors[train_ids[0]], prop_blocks=poisoned)
     batch = [tensors[i] for i in train_ids[:4]]
     tape = Tape(training=True)
     bound = bind_model(init_model(np.random.default_rng(0), 4, 2, config), tape)

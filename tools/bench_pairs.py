@@ -20,7 +20,10 @@ Runs go one at a time, so no two compete for the machine.
 The output records, per side and workload, every run's result line, the
 median and quartiles of each end-to-end metric, the ``environment`` block
 the runner prints, and the per-layer metrics of one ``--trace 1`` run on
-the workload's first seed.  Each side names its ``commit``, its
+the workload's first seed.  Each run also records ``minflt``, its minor
+page faults: the rise in ``getrusage(RUSAGE_CHILDREN).ru_minflt`` across
+the run, which counts the script's own children only, over the whole run
+with data generation included.  Each side names its ``commit``, its
 ``src_tree`` (``git rev-parse COMMIT:src``), which identifies the code
 measured even when the commit was made in a throwaway clone, and its
 ``bench_tree`` and ``spec_blob`` (the same for ``bench`` and
@@ -36,6 +39,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -74,21 +78,24 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int
     """One benchmark run; returns its info and result lines."""
     command = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", str(trace)]
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(command, cwd=checkout, env={**os.environ, **BLAS_ENV},
                           capture_output=True, text=True, timeout=1800)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     if proc.returncode != 0:
         sys.exit(f"error: {' '.join(command)} exited {proc.returncode} in {checkout}:\n{proc.stderr}")
     info, result = (json.loads(line) for line in proc.stdout.strip().splitlines()[-2:])
     if result["correct"] is not True or result["failed"]:
         sys.exit(f"error: {' '.join(command)} in {checkout} was correct={result['correct']} "
                  f"with {result['failed']} failed operations; no file written")
-    return {"seed": seed, "info": info["info"], **result}
+    return {"seed": seed, "info": info["info"], "minflt": faults, **result}
 
 
 def brief(run: dict) -> dict:
     """A run's outcome and metric values, without units."""
     return {"seed": run["seed"], "correct": run["correct"], "attempted": run["attempted"],
-            "failed": run["failed"], "metrics": {k: v["value"] for k, v in run["metrics"].items()}}
+            "failed": run["failed"], "minflt": run["minflt"],
+            "metrics": {k: v["value"] for k, v in run["metrics"].items()}}
 
 
 def summarize(values: list[float]) -> dict:
