@@ -16,9 +16,9 @@ need not group a graph's nodes together.  Class and node labels are
 remapped to contiguous 0-based categories by sorting the distinct raw
 values.  When ``NAME_node_labels.txt`` is absent, node categories fall back
 to node degree, with one category per distinct degree value observed
-across the dataset.  Parsed graphs carry categories only, no dense feature
-rows: the model's input width is the category count
-(:attr:`DatasetStats.feature_dim`).
+across the dataset.  Parsed graphs carry categories only, slices of one
+read-only intp array, no dense feature rows: the model's input width is
+the category count (:attr:`DatasetStats.feature_dim`).
 
 Each file is read in bulk with numpy.  A file the bulk reader rejects, or
 whose values fail a check, is read again line by line, which accepts a
@@ -56,21 +56,31 @@ class Graph:
     any sequence of pairs of ids in ``0..num_nodes - 1``; parsed rows have
     ``u < v`` and come in ``(u, v)`` order.
 
-    ``node_labels`` (row indices of the first layer) and ``label`` (a class
-    index) must be non-negative integers, or building the graph raises.
-    :func:`parse_tu_dataset` leaves ``features`` as ``None``.  A hand-built
-    graph may carry any array there, such as a zero-width placeholder;
-    training never reads it.
+    ``node_labels`` is a read-only (num_nodes,) intp array of first-layer
+    row indices, made from any sequence of non-negative integers; parsed
+    graphs' labels are slices of one array.  ``label``, a class index, must
+    be a non-negative integer.  ``features`` is ``None`` when parsed; a
+    hand-built graph may carry any array there, which training never reads.
     """
 
     index: int
     label: int
     edges: np.ndarray
-    node_labels: tuple[int, ...]
+    node_labels: np.ndarray
     features: np.ndarray | None = None  # optional per-node rows, never read in training
 
     def __post_init__(self):
-        edges = np.asarray(self.edges, dtype=np.intp).view()  # keeps a caller's array writable
+        try:
+            labels = np.asarray(self.node_labels)
+        except ValueError:  # ragged rows, turned away below as a 2-d array
+            labels = np.empty((0, 0))
+        if labels.dtype.kind in "iu" or labels.size == 0:  # a uint64 that wraps reads negative
+            labels = labels.astype(np.intp, copy=False)
+        if labels.ndim != 1 or labels.dtype != np.intp or labels.size and labels.min() < 0:
+            raise ValueError(
+                f"graph {self.index}: node_labels must be non-negative integers, one per node"
+            )
+        edges = np.asarray(self.edges, dtype=np.intp)
         if edges.size == 0:
             edges = edges.reshape(0, 2)
         if edges.ndim != 2 or edges.shape[1] != 2 or edges.size and not (
@@ -79,15 +89,14 @@ class Graph:
             raise ValueError(
                 f"graph {self.index}: edges must be (u, v) pairs of ids in 0..{self.num_nodes - 1}"
             )
-        labels = np.asarray(self.node_labels)
-        if labels.size and (labels.dtype.kind not in "iu" or labels.min() < 0):
-            raise ValueError(f"graph {self.index}: node_labels must be non-negative integers")
         if np.asarray(self.label).dtype.kind not in "iu" or self.label < 0:
             raise ValueError(f"graph {self.index}: label must be a non-negative integer")
-        edges.flags.writeable = False
-        object.__setattr__(self, "edges", edges)
+        for name, array in (("node_labels", labels), ("edges", edges)):
+            array = array.view()  # keeps a caller's array writable
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
-    def __reduce__(self):  # unpickle through __init__, so edges come back read-only
+    def __reduce__(self):  # unpickle through __init__, so the arrays come back read-only
         return Graph, (self.index, self.label, self.edges, self.node_labels, self.features)
 
     @property
@@ -98,7 +107,7 @@ class Graph:
     def num_categories(self) -> int:
         """One more than the largest node label.  Cached: training reads it
         for every graph on every ``train_fold`` call."""
-        return 1 + max(self.node_labels, default=-1)
+        return 1 + int(self.node_labels.max(initial=-1))
 
 
 @dataclass(frozen=True)
@@ -134,17 +143,6 @@ def _read_rows(path: str) -> list[tuple[int, tuple[int, ...]]]:
     return rows
 
 
-def _read_column(path: str, what: str) -> list[tuple[int, int]]:
-    out = []
-    for lineno, values in _read_rows(path):
-        if len(values) != 1:
-            raise DatasetFormatError(
-                f"{os.path.basename(path)}:{lineno}: expected a single {what}, got {len(values)} values"
-            )
-        out.append((lineno, values[0]))
-    return out
-
-
 def _load_ints(path: str, width: int, dtype=np.int64) -> np.ndarray | None:
     """All rows of ``path`` as a (rows, width) array of ``dtype``, or None
     where the bulk reader rejects the file.
@@ -170,21 +168,23 @@ def _column(path: str, what: str) -> np.ndarray:
     rows = _load_ints(path, 1)
     if rows is not None:
         return rows[:, 0]
-    return np.array([v for _, v in _read_column(path, what)], dtype=np.int64)
+    column = []
+    for lineno, values in _read_rows(path):
+        if len(values) != 1:
+            raise DatasetFormatError(
+                f"{os.path.basename(path)}:{lineno}: expected a single {what}, got {len(values)} values"
+            )
+        column.append(values[0])
+    return np.array(column, dtype=np.int64)
 
 
 def _graph_ids(path: str) -> np.ndarray:
     """0-based graph id of every node, in file order; ids must be positive."""
-    rows = _load_ints(path, 1)
-    if rows is not None and rows.min() >= 1:
-        return rows[:, 0] - 1
-    ids = _read_column(path, "graph id")
-    for lineno, gid in ids:
-        if gid < 1:
-            raise DatasetFormatError(
-                f"{os.path.basename(path)}:{lineno}: graph id {gid} is not positive"
-            )
-    return np.array([gid - 1 for _, gid in ids], dtype=np.int64)
+    ids = _column(path, "graph id")
+    if ids.min(initial=1) < 1:  # every row holds one id: read them again to name the first
+        lineno, (gid,) = next((n, v) for n, v in _read_rows(path) if v[0] < 1)
+        raise DatasetFormatError(f"{os.path.basename(path)}:{lineno}: graph id {gid} is not positive")
+    return ids - 1
 
 
 def _edge_pairs(path: str, graph_of_node: np.ndarray) -> np.ndarray:
@@ -322,7 +322,7 @@ def parse_tu_dataset(dir_path: str, name: str) -> list[Graph]:
     edges -= np.repeat(starts, np.diff(edge_ends, prepend=0))[:, None]
     pieces = zip(np.split(edges, edge_ends[:-1]), np.split(cats, node_ends[:-1]))
     return [
-        Graph(index=g, label=labels[g], edges=e, node_labels=tuple(c.tolist()))
+        Graph(index=g, label=labels[g], edges=e, node_labels=c)
         for g, (e, c) in enumerate(pieces)
     ]
 
@@ -358,7 +358,7 @@ def write_tu_dataset(graphs: list[Graph], dir_path: str, name: str) -> None:
         f"{path}_graph_indicator.txt", "%d\n", np.repeat(np.arange(1, len(graphs) + 1), sizes)
     )
     _write_rows(f"{path}_graph_labels.txt", "%d\n", np.array([g.label for g in graphs]))
-    categories = np.array([c for g in graphs for c in g.node_labels])
+    categories = np.concatenate([np.empty(0, np.intp)] + [g.node_labels for g in graphs])
     _write_rows(f"{path}_node_labels.txt", "%d\n", categories)
 
 

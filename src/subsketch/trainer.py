@@ -10,8 +10,8 @@ top-k pooling left out.  Node features are one-hot categories, so the first
 layer's product X W0 is a row lookup of W0 by each node's category; no dense
 feature block is built, and ``Graph.features`` is never read.  A graph's
 constants are fixed-shape arrays built once (:func:`precompute_tensors`):
-(n, s, s) propagation blocks and (n*s,) categories (``Graph`` checks its
-labels) beside its :class:`SubgraphSet`.  They are kept read-only on the
+(n, s, s) propagation blocks and (n*s,) categories, read straight from
+the graph's read-only intp ``node_labels``, beside its :class:`SubgraphSet`.  They are kept read-only on the
 graph for one (n, s) at a time, so ``ablate``'s variants and ``explain``
 reuse what setup sampled.  :func:`batch_forward` is the one
 forward function, and :class:`ForwardResult` the one record it returns.
@@ -211,7 +211,7 @@ def precompute_tensors(graph: Graph, n: int, s: int) -> GraphTensors:
     if slot is None or slot[0] != (n, s):
         ss = sample_subgraphs(graph, n, s)
         blocks = propagation_matrix(ss.adjacency, ss.mask)
-        feats = subgraph_features(ss, np.asarray(graph.node_labels, dtype=np.intp))
+        feats = subgraph_features(ss, graph.node_labels)
         for array in (ss.nodes, ss.mask, ss.adjacency, ss.overlap, blocks, feats):
             array.setflags(write=False)
         slot = graph.__dict__[_TENSORS_SLOT] = ((n, s), ss, blocks, feats)
@@ -368,8 +368,7 @@ def batch_forward(
             # overlapping subgraphs agree on each node's corrupted category.
             shuffled = [
                 replace(t, feats=subgraph_features(
-                    t.subgraph_set,
-                    corrupt(np.asarray(t.graph.node_labels, dtype=np.intp), corrupt_rng),
+                    t.subgraph_set, corrupt(t.graph.node_labels, corrupt_rng)
                 ))
                 for t in tensors
             ]

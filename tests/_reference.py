@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from subsketch.dataset import Graph, _read_column, _read_rows, _require
+from subsketch.dataset import Graph, _read_rows, _require
 from subsketch.errors import DatasetFormatError
 from subsketch.diffcore import MASK_OFF, Node, Tape
 from subsketch.pooling import rank_topk
@@ -348,6 +348,18 @@ def vote_loss_chain(logits: Node, labels: list[int], m: int, tape: Tape) -> Node
 
 
 # --------------------------------------------------------------- dataset
+
+
+def _read_column(path: str, what: str) -> list[tuple[int, int]]:
+    """(line_number, value) of each row of a one-column TU file."""
+    out = []
+    for lineno, values in _read_rows(path):
+        if len(values) != 1:
+            raise DatasetFormatError(
+                f"{os.path.basename(path)}:{lineno}: expected a single {what}, got {len(values)} values"
+            )
+        out.append((lineno, values[0]))
+    return out
 
 
 def parse_tu_lines(dir_path: str, name: str) -> list[Graph]:

@@ -1,6 +1,7 @@
 """``tools/bench_pairs.py``: its verdict per metric, the page faults it
-records per run, and its refusal of a run that is not correct or of two
-checkouts of different benchmarks."""
+records per run, its per-layer figures from several traced runs, and its
+refusal of a run that is not correct or of two checkouts of different
+benchmarks."""
 
 import importlib.util
 import json
@@ -155,3 +156,36 @@ def test_uncommitted_benchmark_or_source_changes_are_refused(tmp_path, path):
     with pytest.raises(SystemExit) as stop:
         bench_pairs.describe(checkout)
     assert "uncommitted changes" in str(stop.value.code)
+
+
+def test_per_layer_figures_come_from_three_traced_pairs(tmp_path, monkeypatch):
+    spec = {**SPEC, "end_to_end": [{"name": "e2e_s", "unit": "s", "better": "lower", "bound": 0.25}],
+            "per_layer": [{"name": "layer_s", "unit": "s/call", "better": "lower"}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    change = str(tmp_path)
+    traced = []
+
+    def run_once(checkout, workload, seed, seconds, trace=0):
+        if trace:
+            traced.append((checkout, seed))
+        scale = 2.0 if checkout == change else 1.0
+        name = "layer_s" if trace else "e2e_s"
+        return {"seed": seed, "info": {"environment": {}}, "minflt": 0, "correct": True,
+                "attempted": 1, "failed": 0, "metrics": {name: {"value": scale * seed}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "describe_sides", lambda sides: {})
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", "P", "--change", change, "--out", str(out),
+                             "--first-seed", "1"]) == 0
+    # The workload's first three seeds, the side that runs first alternating.
+    assert traced == [("P", 1), (change, 1), (change, 2), ("P", 2), ("P", 3), (change, 3)]
+    result = json.loads(out.read_text())["workloads"]["w"]
+    assert [r["seed"] for r in result["parent"]["traced"]] == [1, 2, 3]
+    assert result["per_layer"] == {"layer_s": {
+        "parent": {"median": 2.0, "q1": 1.5, "q3": 2.5},
+        "change": {"median": 4.0, "q1": 3.0, "q3": 5.0},
+        "unit": "s/call",
+    }}
+    # The per-layer figures are ungated: verdicts cover the end-to-end metrics only.
+    assert set(result["verdicts"]) == {"e2e_s"}

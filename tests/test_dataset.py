@@ -52,12 +52,12 @@ def test_parse_fixture(tmp_path):
     tri, path = graphs
     assert (tri.index, tri.label) == (0, 0)  # raw -1 -> class 0
     assert tri.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
-    assert tri.node_labels == (0, 0, 1)  # raw 7,7,8 under {7:0, 8:1, 9:2}
+    assert tri.node_labels.tolist() == [0, 0, 1]  # raw 7,7,8 under {7:0, 8:1, 9:2}
     assert tri.features is None  # categories only, no dense rows
 
     assert (path.index, path.label) == (1, 1)
     assert path.edges.tolist() == [[0, 1], [1, 2], [2, 3]]
-    assert path.node_labels == (1, 2, 2, 0)
+    assert path.node_labels.tolist() == [1, 2, 2, 0]
     assert dataset_stats(graphs).feature_dim == 3
     assert neighbors(path) == [[1], [0, 2], [1, 3], [2]]
     assert degrees(path) == [1, 2, 2, 1]
@@ -96,7 +96,46 @@ def test_pickled_graph_keeps_read_only_edges():
     copy = pickle.loads(pickle.dumps(graph))
     assert not copy.edges.flags.writeable
     assert copy.edges.tolist() == [[0, 1], [1, 2]]
-    assert (copy.index, copy.label, copy.node_labels) == (2, 1, (0, 1, 0))
+    assert (copy.index, copy.label, copy.node_labels.tolist()) == (2, 1, [0, 1, 0])
+
+
+def assert_read_only_labels(graph, want):
+    assert graph.node_labels.dtype == np.intp
+    assert graph.node_labels.shape == (graph.num_nodes,)
+    assert not graph.node_labels.flags.writeable
+    assert graph.node_labels.tolist() == want
+
+
+def test_parsed_node_labels_are_read_only_slices_of_one_array(tmp_path):
+    write_fixture(tmp_path)
+    tri, path = parse_tu_dataset(str(tmp_path), "TOY")
+    assert_read_only_labels(tri, [0, 0, 1])
+    assert_read_only_labels(path, [1, 2, 2, 0])
+    assert tri.node_labels.base is not None and tri.node_labels.base is path.node_labels.base
+
+
+@pytest.mark.parametrize(
+    "node_labels",
+    [(0, 2, 1), [0, 2, 1], np.array([0, 2, 1], dtype=np.uint8), np.array([0, 2, 1])],
+    ids=["tuple", "list", "uint8", "intp"],
+)
+def test_hand_built_node_labels_become_read_only_intp(node_labels):
+    graph = Graph(index=0, label=0, edges=((0, 1),), node_labels=node_labels)
+    assert_read_only_labels(graph, [0, 2, 1])
+    assert graph.num_categories == 3 and isinstance(graph.num_categories, int)
+    if isinstance(node_labels, np.ndarray):
+        assert node_labels.flags.writeable  # the caller's array is left as it was
+    copy = pickle.loads(pickle.dumps(graph))
+    assert_read_only_labels(copy, [0, 2, 1])
+
+
+@pytest.mark.parametrize(
+    "node_labels", [((0, 1), (1, 0)), ((0, 1), (2,)), 3], ids=["rows", "ragged", "scalar"]
+)
+def test_node_labels_that_are_not_one_per_node_rejected(node_labels):
+    message = "graph 4: node_labels must be non-negative integers, one per node"
+    with pytest.raises(ValueError, match=message):
+        Graph(index=4, label=0, edges=((0, 1),), node_labels=node_labels)
 
 
 @pytest.mark.parametrize(
@@ -125,6 +164,8 @@ def test_bad_edges_rejected_naming_the_graph(edges, node_labels, message):
         (1.0, (0, 1, 2), "graph 3: label must be a non-negative integer"),
         ("1", (0, 1, 2), "graph 3: label must be a non-negative integer"),
         (True, (0, 1, 2), "graph 3: label must be a non-negative integer"),
+        # Past the intp range: converted as is, it would wrap to a negative row.
+        (0, np.array([0, 1, 2**63], dtype=np.uint64), "graph 3: node_labels must be non-negative"),
     ],
 )
 def test_labels_that_are_not_non_negative_integers_rejected(label, node_labels, message):
@@ -143,8 +184,8 @@ def test_degree_fallback_without_node_labels(tmp_path):
     write_fixture(tmp_path, node_labels=False)
     tri, path = parse_tu_dataset(str(tmp_path), "TOY")
     # Distinct degrees are {1, 2}; triangle nodes all have degree 2.
-    assert tri.node_labels == (1, 1, 1)
-    assert path.node_labels == (0, 1, 1, 0)
+    assert tri.node_labels.tolist() == [1, 1, 1]
+    assert path.node_labels.tolist() == [0, 1, 1, 0]
     assert dataset_stats([tri, path]).feature_dim == 2
 
 
@@ -257,7 +298,7 @@ def assert_same_graphs(a, b):
         assert x.index == y.index
         assert x.label == y.label
         assert np.array_equal(x.edges, y.edges)
-        assert x.node_labels == y.node_labels
+        assert x.node_labels.tolist() == y.node_labels.tolist()
 
 
 @st.composite
@@ -301,8 +342,8 @@ def test_ungrouped_indicator_keeps_each_nodes_label(tmp_path):
     write_lines(tmp_path / "U_node_labels.txt", [10, 20, 30, 40])
     first, second = parse_tu_dataset(str(tmp_path), "U")
     # Graph 1 holds file nodes 1 and 3, graph 2 holds nodes 2 and 4.
-    assert first.node_labels == (0, 2) and first.edges.tolist() == [[0, 1]]
-    assert second.node_labels == (1, 3) and second.edges.tolist() == [[0, 1]]
+    assert first.node_labels.tolist() == [0, 2] and first.edges.tolist() == [[0, 1]]
+    assert second.node_labels.tolist() == [1, 3] and second.edges.tolist() == [[0, 1]]
 
 
 def test_clean_files_skip_the_line_reader(tmp_path, monkeypatch):
@@ -313,6 +354,22 @@ def test_clean_files_skip_the_line_reader(tmp_path, monkeypatch):
 
     monkeypatch.setattr(dataset, "_read_rows", unused)
     assert len(parse_tu_dataset(str(tmp_path), "TOY")) == 2
+
+
+def test_clean_graph_indicator_is_read_without_the_line_reader(tmp_path, monkeypatch):
+    write_lines(tmp_path / "ids.txt", [2, 1, 1, 3])
+
+    def unused(path):
+        raise AssertionError(f"line reader called on {path}")
+
+    monkeypatch.setattr(dataset, "_read_rows", unused)
+    assert dataset._graph_ids(str(tmp_path / "ids.txt")).tolist() == [1, 0, 0, 2]
+
+
+def test_first_graph_id_that_is_not_positive_is_named(tmp_path):
+    write_lines(tmp_path / "ids.txt", [1, 1, 0, 2, -1])
+    with pytest.raises(DatasetFormatError, match=r"^ids\.txt:3: graph id 0 is not positive$"):
+        dataset._graph_ids(str(tmp_path / "ids.txt"))
 
 
 @pytest.mark.parametrize(
@@ -355,9 +412,9 @@ def test_empty_edge_file_gives_edgeless_graphs(tmp_path, node_labels):
     for graph in (tri, path):
         assert graph.edges.shape == (0, 2) and graph.edges.dtype == np.intp
     if node_labels:
-        assert (tri.node_labels, path.node_labels) == ((0, 0, 1), (1, 2, 2, 0))
+        assert (tri.node_labels.tolist(), path.node_labels.tolist()) == ([0, 0, 1], [1, 2, 2, 0])
     else:  # every degree is 0: one category
-        assert set(tri.node_labels + path.node_labels) == {0}
+        assert set(tri.node_labels.tolist() + path.node_labels.tolist()) == {0}
 
 
 # --- the bulk parser against the line-by-line oracle ---------------------
@@ -435,7 +492,7 @@ def _outcome(parse, files):
         except DatasetFormatError as exc:
             return str(exc)
     assert all(g.features is None for g in graphs)
-    return [(g.index, g.label, g.edges.tolist(), g.node_labels) for g in graphs]
+    return [(g.index, g.label, g.edges.tolist(), g.node_labels.tolist()) for g in graphs]
 
 
 @settings(max_examples=150, deadline=None)

@@ -19,11 +19,14 @@ Runs go one at a time, so no two compete for the machine.
 
 The output records, per side and workload, every run's result line, the
 median and quartiles of each end-to-end metric, the ``environment`` block
-the runner prints, and the per-layer metrics of one ``--trace 1`` run on
-the workload's first seed.  Each run also records ``minflt``, its minor
-page faults: the rise in ``getrusage(RUSAGE_CHILDREN).ru_minflt`` across
-the run, which counts the script's own children only, over the whole run
-with data generation included.  Each side names its ``commit``, its
+the runner prints, and the per-layer metrics of ``--trace 1`` runs on the
+workload's first three seeds, alternating sides as the pairs do.  One
+traced run moves with the machine, so ``per_layer`` gives each per-layer
+metric's median and quartiles per side over those runs: ungated figures,
+read beside the end-to-end verdicts.  Each run also records ``minflt``,
+its minor page faults: the rise in ``getrusage(RUSAGE_CHILDREN).ru_minflt``
+across the run, which counts the script's own children only, over the
+whole run with data generation included.  Each side names its ``commit``, its
 ``src_tree`` (``git rev-parse COMMIT:src``), which identifies the code
 measured even when the commit was made in a throwaway clone, and its
 ``bench_tree`` and ``spec_blob`` (the same for ``bench`` and
@@ -46,6 +49,7 @@ import sys
 
 PAIRS = 10
 GAIN_WINS = 9  # pairs of PAIRS the change must win for a gain
+TRACED_PAIRS = 3  # traced pairs per workload, on its first seeds
 BLAS_ENV = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
@@ -148,6 +152,24 @@ def compare(spec: dict, runs: dict) -> dict:
     return {**out, "wins": wins, "verdicts": verdicts}
 
 
+def per_layer(spec: dict, traced: dict) -> dict:
+    """Median and quartiles per side of each per-layer metric over the
+    traced runs, which :func:`brief` has made."""
+    return {
+        metric["name"]: {
+            **{side: summarize([r["metrics"][metric["name"]] for r in runs])
+               for side, runs in traced.items()},
+            "unit": metric["unit"],
+        }
+        for metric in spec["per_layer"]
+    }
+
+
+def sides_in_order(pair: int) -> tuple[str, str]:
+    """The side that runs first alternates from pair to pair."""
+    return ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+
+
 def print_table(workload: str, spec: dict, result: dict) -> None:
     for metric in spec["end_to_end"]:
         name = metric["name"]
@@ -185,18 +207,22 @@ def main(argv: list[str] | None = None) -> int:
         first_seed = seed
         runs = {"parent": [], "change": []}
         for pair in range(PAIRS):
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for side in order:
+            for side in sides_in_order(pair):
                 run = run_once(sides[side], workload, seed, spec["run_seconds"])
                 runs[side].append(run)
                 print(f"{workload} seed {seed} {side}: correct={run['correct']} "
                       f"failed={run['failed']}", file=sys.stderr, flush=True)
             seed += 1
         result = compare(spec, runs)
+        traced = {"parent": [], "change": []}
+        for pair in range(TRACED_PAIRS):
+            for side in sides_in_order(pair):
+                run = run_once(sides[side], workload, first_seed + pair, spec["run_seconds"], trace=1)
+                traced[side].append(brief(run))
         for side in runs:
             result[side]["runs"] = [brief(r) for r in runs[side]]
-            traced = run_once(sides[side], workload, first_seed, spec["run_seconds"], trace=1)
-            result[side]["traced"] = brief(traced)
+            result[side]["traced"] = traced[side]
+        result["per_layer"] = per_layer(spec, traced)
         report["workloads"][workload] = result
         print_table(workload, spec, result)
     with open(args.out, "w", encoding="utf-8") as fh:
