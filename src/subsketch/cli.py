@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields, replace
 from .dataset import dataset_stats, make_folds, parse_tu_dataset
 from .errors import ConfigError, DatasetFormatError, ScoresNotFinite
 from .explain import explain_graph, write_dot, write_graph_json
-from .persist import load_model, read_manifest, save_model, write_csv, write_report
+from .persist import load_arrays, read_manifest, save_model, write_csv, write_report
 from .trainer import (
     FIELD_TYPES,
     VARIANTS,
@@ -143,15 +143,18 @@ def _load_graphs(paths: Paths):
 
 @contextmanager
 def _saved_model(args: argparse.Namespace):
-    """Open a saved model as ``(paths, model, config, final_k, graphs)``,
-    refusing before any forward pass a dataset with more node categories or
-    classes than the model's first layer and classifier hold.  Scores that
-    are not finite inside the block exit 2, naming the model's ``model.bin``."""
+    """Open a saved model as ``(paths, model, config, final_k, fold, graphs)``,
+    ``fold`` being the one it held out (None if saved outside
+    cross-validation), refusing before any forward pass a dataset with more
+    node categories or classes than the model's first layer and classifier
+    hold.  Scores that are not finite inside the block exit 2, naming the
+    model's ``model.bin``."""
     paths = resolve_paths(args, {})
-    model, config, final_k = load_model(paths.out_dir)
+    manifest, config = read_manifest(paths.out_dir)
+    model, final_k = load_arrays(paths.out_dir, manifest, config)
     graphs = _load_graphs(paths)
     stats = dataset_stats(graphs)
-    manifest = os.path.join(paths.out_dir, "model.manifest.json")
+    manifest_path = os.path.join(paths.out_dir, "model.manifest.json")
     for what, need, have in (
         ("node categories", stats.feature_dim, model["encoder.layer0"].shape[0]),
         ("classes", stats.num_classes, model["classifier.w"].shape[1]),
@@ -159,10 +162,10 @@ def _saved_model(args: argparse.Namespace):
         if need > have:
             raise ConfigError(
                 f"{paths.dataset_dir} has {need} {what}, but the model in "
-                f"{manifest} was trained on {have}"
+                f"{manifest_path} was trained on {have}"
             )
     try:
-        yield paths, model, config, final_k, graphs
+        yield paths, model, config, final_k, manifest["fold"], graphs
     except ScoresNotFinite as exc:
         raise ConfigError(f"{os.path.join(paths.out_dir, 'model.bin')}: {exc}") from None
 
@@ -198,8 +201,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     """Score the fold the saved model held out; a model saved with no fold
     (outside cross-validation) scores the fold given."""
-    with _saved_model(args) as (paths, model, config, final_k, graphs):
-        saved = read_manifest(paths.out_dir)[0]["fold"]
+    with _saved_model(args) as (paths, model, config, final_k, saved, graphs):
         fold = saved if args.fold is None else args.fold
         manifest = os.path.join(paths.out_dir, "model.manifest.json")
         if fold is None:
@@ -259,7 +261,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    with _saved_model(args) as (paths, model, config, final_k, graphs):
+    with _saved_model(args) as (paths, model, config, final_k, _, graphs):
         if not 0 <= args.graph_id < len(graphs):
             raise ConfigError(
                 f"unknown graph id {args.graph_id} "

@@ -8,8 +8,11 @@ zero.  A learned attention then scores each node, softmaxes over the real
 nodes, and returns the weighted sum as the subgraph embedding.
 
 A graph's :class:`~.sampler.SubgraphSet` contributes, for all n subgraphs at
-once, the (n, s, s) float64 propagation matrices, built from the set's
-one-byte bool adjacency, and the (n*s,) padded node categories.
+once, the (n*s,) padded node categories and its propagation matrices as an
+(n, s, s) array of codes, built from the set's one-byte bool adjacency.
+Each entry of a matrix is 0 or ``d_i^{-1/2} d_j^{-1/2}`` for two degrees
+in 1..s, so a code of one byte (two from s = 16) names it, and
+``np.take(propagation_values(s), codes)`` gives the float64 matrices.
 :func:`encode_subgraphs` runs both layers and the attention for every
 subgraph of a batch as one tape node.  Its backward does per-row work only
 for the subgraphs whose embedding gradient is not all zero, which are the
@@ -18,7 +21,7 @@ ones top-k pooling kept, and for any whose embedding is not finite.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -32,19 +35,37 @@ def glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 
 
 def propagation_matrix(adjacency: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Constant ``D^{-1/2} (A + I) D^{-1/2}`` of padded subgraphs.
+    """Codes of the constant ``D^{-1/2} (A + I) D^{-1/2}`` of padded subgraphs.
 
-    ``adjacency`` is (..., s, s), bool as sampled or 0/1 floats (both give
-    the same float64 bits), and ``mask`` (..., s) with any leading shape.
-    Self-loops are added on real rows only, so padded rows and columns of
-    the result are zero and padded node states never mix in.
+    ``adjacency`` is (..., s, s) bool, as sampled, and ``mask`` (..., s) with
+    any leading shape.  Self-loops are added on real rows only.  An entry
+    off the support of ``A + I`` gets code 0, so padded rows and columns are
+    0 and padded node states never mix in; an entry between nodes of
+    degrees d_i and d_j in ``A + I`` gets ``1 + (d_i - 1) s + (d_j - 1)``,
+    its index in :func:`propagation_values`.  The dtype is the smallest
+    unsigned one that holds the top code s*s.
     """
-    a_tilde = adjacency + mask[..., None] * np.eye(mask.shape[-1])
-    degree = a_tilde.sum(axis=-1)
-    inv_sqrt = np.zeros_like(degree)
-    nonzero = degree > 0
-    inv_sqrt[nonzero] = degree[nonzero] ** -0.5
-    return inv_sqrt[..., :, None] * a_tilde * inv_sqrt[..., None, :]
+    s = mask.shape[-1]
+    linked = adjacency | (mask[..., None] & np.eye(s, dtype=bool))
+    degree = linked.sum(axis=-1, dtype=np.min_scalar_type(s * s))
+    # A padded row has degree 0, and its (degree - 1) wraps; it is linked
+    # to nothing, so the product with ``linked`` is 0 all the same.
+    return linked * ((degree[..., :, None] - 1) * s + degree[..., None, :])
+
+
+@cache
+def propagation_values(s: int) -> np.ndarray:
+    """The read-only (s*s + 1,) float64 table that :func:`propagation_matrix`'s
+    codes index: 0, then ``d_i^{-1/2} d_j^{-1/2}`` for d_i, d_j in 1..s, d_j
+    fastest.  Each value has the bits that the dense product
+    ``(inv_sqrt_i * a_ij) * inv_sqrt_j`` gives with ``a_ij = 1``."""
+    # Powers over a float64 array, as a dense form takes them over its
+    # degrees: Python's scalar ``**`` can differ in the last bit.
+    inv_sqrt = np.arange(1, s + 1, dtype=np.float64) ** -0.5
+    values = np.zeros(s * s + 1)
+    values[1:] = (inv_sqrt[:, None] * inv_sqrt[None, :]).reshape(-1)
+    values.setflags(write=False)
+    return values
 
 
 def subgraph_features(subgraph_set: SubgraphSet, categories: np.ndarray) -> np.ndarray:

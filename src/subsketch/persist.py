@@ -5,7 +5,9 @@ A model is stored as two files: ``model.bin``, the model's arrays in
 ``model.manifest.json`` naming each array, its shape, and the training
 configuration plus the final pooling ratio and the held-out fold (null for
 a model saved outside cross-validation).  :func:`read_manifest` is the one
-reader of the manifest.  Loading checks the array list against
+reader of the manifest, and :func:`load_arrays` reads ``model.bin`` by
+what it returns; :func:`load_model` runs the two, and a caller that needs
+the manifest too runs them itself.  Loading checks the array list against
 ``param_spec`` and rejects any value that is not finite.  The split keeps
 the dump trivially readable from any language.  Reports deliberately
 exclude wall-clock time so repeated runs with one seed produce
@@ -57,10 +59,14 @@ def save_model(
 
 
 def read_manifest(out_dir: str) -> tuple[dict, TrainConfig]:
-    """A saved model's manifest and its training configuration, with the
-    schema version, the configuration and the held-out ``fold`` (null for
-    a model saved outside cross-validation) checked."""
+    """A saved model's manifest and its training configuration, with both
+    model files present and the schema version, the configuration and the
+    held-out ``fold`` (null for a model saved outside cross-validation)
+    checked."""
     manifest_path = os.path.join(out_dir, "model.manifest.json")
+    for path in (manifest_path, os.path.join(out_dir, "model.bin")):
+        if not os.path.isfile(path):
+            raise FileNotFoundError(f"missing model file: {path}")
     with open(manifest_path, "r", encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
@@ -90,12 +96,19 @@ def read_manifest(out_dir: str) -> tuple[dict, TrainConfig]:
 
 
 def load_model(out_dir: str) -> tuple[ModelParams, TrainConfig, float]:
+    """The saved model in ``out_dir``, its configuration and its final ratio."""
+    manifest, config = read_manifest(out_dir)
+    model, final_k = load_arrays(out_dir, manifest, config)
+    return model, config, final_k
+
+
+def load_arrays(
+    out_dir: str, manifest: dict, config: TrainConfig
+) -> tuple[ModelParams, float]:
+    """The model and its final ratio, from ``model.bin`` and what
+    :func:`read_manifest` returned for ``out_dir``."""
     manifest_path = os.path.join(out_dir, "model.manifest.json")
     bin_path = os.path.join(out_dir, "model.bin")
-    for path in (manifest_path, bin_path):
-        if not os.path.isfile(path):
-            raise FileNotFoundError(f"missing model file: {path}")
-    manifest, config = read_manifest(out_dir)
     try:
         declared = [(item["name"], tuple(item["shape"])) for item in manifest["arrays"]]
         final_k = manifest["final_k"]
@@ -138,7 +151,7 @@ def load_model(out_dir: str) -> tuple[ModelParams, TrainConfig, float]:
         cursor += size
         if not np.isfinite(model[name]).all():
             raise ConfigError(f"{bin_path}: array {name} holds a NaN or an infinity")
-    return model, config, float(final_k)
+    return model, float(final_k)
 
 
 def write_report(

@@ -10,11 +10,14 @@ top-k pooling left out.  Node features are one-hot categories, so the first
 layer's product X W0 is a row lookup of W0 by each node's category; no dense
 feature block is built, and ``Graph.features`` is never read.  A graph's
 constants are fixed-shape arrays built once (:func:`precompute_tensors`):
-(n, s, s) propagation blocks and (n*s,) categories, read straight from
-the graph's read-only intp ``node_labels``, beside its :class:`SubgraphSet`.  They are kept read-only on the
-graph for one (n, s) at a time, so ``ablate``'s variants and ``explain``
-reuse what setup sampled.  :func:`batch_forward` is the one
-forward function, and :class:`ForwardResult` the one record it returns.
+(n, s, s) propagation codes, one byte per entry up to s = 15, and (n*s,)
+categories, read straight from the graph's read-only intp ``node_labels``,
+beside its :class:`SubgraphSet`.  They are kept read-only on the graph for
+one (n, s) at a time, so ``ablate``'s variants and ``explain`` reuse what
+setup sampled.  :func:`batch_forward` is the one forward function, and
+:class:`ForwardResult` the one record it returns; it expands the batch's
+codes into the float64 blocks with one ``np.take`` from the s*s + 1 values
+of ``encoder.propagation_values``.
 Every graph keeps the same number M of supernodes, so the selection is one
 (B, M) array of subgraph indices, supernode rows are grouped by graph, and
 sketch attention runs under one (B*M, M) mask, one M x M block per graph,
@@ -59,7 +62,9 @@ import numpy as np
 
 from .dataset import FoldPlan, Graph, batches, dataset_stats, make_folds
 from .diffcore import Node, Tape
-from .encoder import encode_subgraphs, glorot, propagation_matrix, subgraph_features
+from .encoder import (
+    encode_subgraphs, glorot, propagation_matrix, propagation_values, subgraph_features,
+)
 from .errors import ConfigError, ScoresNotFinite, TrainingDiverged
 from .pooling import PoolingAgent, annealed_epsilon, rank_topk
 from .sampler import SubgraphSet, build_sketched_graph, sample_subgraphs
@@ -191,11 +196,11 @@ class GraphTensors:
 
     graph: Graph
     subgraph_set: SubgraphSet
-    prop_blocks: np.ndarray  # (n, s, s) propagation matrices
+    prop_codes: np.ndarray  # (n, s, s) codes of the propagation matrices' entries
     feats: np.ndarray  # (n*s,) intp node category per stacked row; pads hold 0
 
 
-_TENSORS_SLOT = "_precomputed"  # Graph.__dict__ key: ((n, s), subgraph set, blocks, feats)
+_TENSORS_SLOT = "_precomputed"  # Graph.__dict__ key: ((n, s), subgraph set, codes, feats)
 
 
 def precompute_tensors(graph: Graph, n: int, s: int) -> GraphTensors:
@@ -210,11 +215,11 @@ def precompute_tensors(graph: Graph, n: int, s: int) -> GraphTensors:
     slot = graph.__dict__.get(_TENSORS_SLOT)
     if slot is None or slot[0] != (n, s):
         ss = sample_subgraphs(graph, n, s)
-        blocks = propagation_matrix(ss.adjacency, ss.mask)
+        codes = propagation_matrix(ss.adjacency, ss.mask)
         feats = subgraph_features(ss, graph.node_labels)
-        for array in (ss.nodes, ss.mask, ss.adjacency, ss.overlap, blocks, feats):
+        for array in (ss.nodes, ss.mask, ss.adjacency, ss.overlap, codes, feats):
             array.setflags(write=False)
-        slot = graph.__dict__[_TENSORS_SLOT] = ((n, s), ss, blocks, feats)
+        slot = graph.__dict__[_TENSORS_SLOT] = ((n, s), ss, codes, feats)
     return GraphTensors(graph, *slot[1:])
 
 
@@ -295,9 +300,10 @@ def batch_forward(
     direction = tape.matmul(
         tape.transpose(bound["encoder.w_intra"]), bound["encoder.a_intra"]
     )
+    codes = np.concatenate([t.prop_codes for t in tensors])
     embeddings, intra_weights = encode_subgraphs(
         tape, bound["encoder.layer0"], bound["encoder.layer1"], direction,
-        np.concatenate([t.prop_blocks for t in tensors]),
+        np.take(propagation_values(codes.shape[-1]), codes),
         np.concatenate([t.feats for t in tensors]),
         np.concatenate([t.subgraph_set.mask for t in tensors]), config.dropout, rng,
     )

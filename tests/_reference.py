@@ -124,14 +124,40 @@ def sample_entries(graph: Graph, n: int, s: int) -> list[SubgraphEntry]:
     return entries
 
 
-def entry_propagation(entry: SubgraphEntry) -> np.ndarray:
-    """``D^{-1/2} (A + I) D^{-1/2}`` of one padded subgraph."""
-    a_tilde = entry.local_adjacency + np.diag(entry.mask.astype(np.float64))
-    degree = a_tilde.sum(axis=1)
+def dense_propagation(adjacency: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Float64 ``D^{-1/2} (A + I) D^{-1/2}`` of padded subgraphs, the oracle
+    for ``np.take(encoder.propagation_values(s), codes)``.
+
+    ``adjacency`` is (..., s, s), bool or 0/1 floats (both give the same
+    bits), and ``mask`` (..., s) with any leading shape.  Self-loops are
+    added on real rows only, so padded rows and columns of the result are
+    zero.
+    """
+    a_tilde = adjacency + mask[..., None] * np.eye(mask.shape[-1])
+    degree = a_tilde.sum(axis=-1)
     inv_sqrt = np.zeros_like(degree)
     nonzero = degree > 0
     inv_sqrt[nonzero] = degree[nonzero] ** -0.5
-    return inv_sqrt[:, None] * a_tilde * inv_sqrt[None, :]
+    return inv_sqrt[..., :, None] * a_tilde * inv_sqrt[..., None, :]
+
+
+def entry_codes(entry: SubgraphEntry) -> np.ndarray:
+    """``encoder.propagation_matrix``'s codes of one padded subgraph, entry by
+    entry: 0 off the support of ``A + I``, else ``1 + (d_i - 1) s + (d_j - 1)``
+    for the degrees d_i, d_j in ``A + I``, in the smallest unsigned dtype
+    that holds s*s."""
+    s = len(entry.mask)
+    linked = [
+        [bool(entry.local_adjacency[i][j]) or (i == j and bool(entry.mask[i])) for j in range(s)]
+        for i in range(s)
+    ]
+    degree = [sum(row) for row in linked]
+    codes = np.zeros((s, s), dtype=np.min_scalar_type(s * s))
+    for i in range(s):
+        for j in range(s):
+            if linked[i][j]:
+                codes[i, j] = 1 + (degree[i] - 1) * s + (degree[j] - 1)
+    return codes
 
 
 def entry_rows(entry: SubgraphEntry, graph_values: np.ndarray) -> np.ndarray:
@@ -154,7 +180,7 @@ def precompute_reference(graph: Graph, n: int, s: int) -> dict[str, np.ndarray]:
     entries = sample_entries(graph, n, s)
     cats = np.asarray(graph.node_labels, dtype=np.intp)
     return {
-        "prop_blocks": np.stack([entry_propagation(e) for e in entries]),
+        "prop_codes": np.stack([entry_codes(e) for e in entries]),
         "feats": np.concatenate([entry_rows(e, cats) for e in entries]),
         "mask": np.stack([e.mask for e in entries]),
         "overlap": entry_overlap(entries),
@@ -197,7 +223,7 @@ def encode_nodes(
 ) -> Node:
     """Run the layered propagation for one subgraph from dense feature rows;
     returns ``s x d1``."""
-    prop = tape.constant(entry_propagation(entry))
+    prop = tape.constant(dense_propagation(entry.local_adjacency, entry.mask))
     h = tape.constant(entry_rows(entry, graph_features))
     for layer, weight in enumerate(enc.layer_weights):
         if layer > 0 and dropout_rate > 0.0:

@@ -228,6 +228,22 @@ def test_evaluate_reports_fold_accuracy(trained, capsys):
     assert f"fold {fold}: accuracy {accuracy:.4f}" in capsys.readouterr().out
 
 
+def test_evaluate_reads_the_manifest_once(trained, monkeypatch):
+    import builtins
+
+    opened = []
+    real_open = builtins.open
+
+    def counting(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            opened.append(os.path.basename(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting)
+    assert _evaluate_exit(*trained) == 0
+    assert opened.count("model.manifest.json") == 1
+
+
 def test_evaluate_scores_the_fold_the_model_held_out(workspace, capsys):
     # Seed 2 saves the model that held out fold 7, which trained on fold 0.
     assert main(_train_args(workspace, "out_seed2", ["--seed", "2", "--epochs", "3"])) == 0

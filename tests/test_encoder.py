@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from subsketch.diffcore import Tape
-from subsketch.encoder import encode_subgraphs, propagation_matrix, subgraph_features
+from subsketch.encoder import (
+    encode_subgraphs, propagation_matrix, propagation_values, subgraph_features,
+)
 from subsketch.sampler import sample_subgraphs
 from subsketch.trainer import TrainConfig, bind_model, init_model
 
 from _reference import (
     Encoder,
     SubgraphEntry,
+    dense_propagation,
     encode_nodes,
     encoder_chain,
     entries_of,
@@ -89,12 +92,66 @@ def test_matches_dense_message_oracle(seed):
     assert np.max(np.abs(h.value - gcn_oracle(entry, g.features, weights))) <= 1e-10
 
 
+def expand(codes):
+    """The float64 blocks that ``trainer.batch_forward`` reads from codes."""
+    return np.take(propagation_values(codes.shape[-1]), codes)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_bool_adjacency_gives_the_float_adjacency_bits(seed):
     g = random_graph(np.random.default_rng(60 + seed), num_nodes=9, edge_prob=0.3)
     ss = sample_subgraphs(g, n=4, s=5)
-    want = propagation_matrix(ss.adjacency.astype(np.float64), ss.mask)
-    assert propagation_matrix(ss.adjacency, ss.mask).tobytes() == want.tobytes()
+    want = dense_propagation(ss.adjacency.astype(np.float64), ss.mask)
+    assert expand(propagation_matrix(ss.adjacency, ss.mask)).tobytes() == want.tobytes()
+
+
+def every_degree_pair(s):
+    """(s*s - 2s + 3, s, s) bool adjacency and mask holding every degree pair
+    of ``A + I`` that can occur at s: one subgraph per pair (a, b) in 2..s,
+    whose nodes 0 and 1 are linked with degrees a and b; then one edgeless
+    subgraph, all pairs (1, 1); and one whose real node is followed by
+    pads."""
+    blocks = []
+    for a in range(2, s + 1):
+        for b in range(2, s + 1):
+            adjacency = np.zeros((s, s), dtype=bool)
+            adjacency[0, 1:a] = adjacency[1:a, 0] = True
+            adjacency[1, 2:b] = adjacency[2:b, 1] = True
+            blocks.append(adjacency)
+    blocks += [np.zeros((s, s), dtype=bool)] * 2
+    mask = np.ones((len(blocks), s), dtype=bool)
+    mask[-1, 1:] = False
+    return np.stack(blocks), mask
+
+
+@pytest.mark.parametrize("s", [1, 2, 5, 8, 15, 16, 17])
+def test_propagation_codes_expand_to_the_dense_bits(s):
+    rng = np.random.default_rng(s)
+    cases = [every_degree_pair(s)]
+    for num_nodes, edge_prob in ((s + 3, 0.3), (2 * s, 0.6), (max(s // 2, 1), 0.5)):
+        ss = sample_subgraphs(random_graph(rng, num_nodes, edge_prob), n=6, s=s)
+        cases.append((ss.adjacency, ss.mask))
+    for adjacency, mask in cases:
+        codes = propagation_matrix(adjacency, mask)
+        assert codes.shape == adjacency.shape
+        want = dense_propagation(adjacency.astype(np.float64), mask)
+        assert expand(codes).tobytes() == want.tobytes()
+    # Every code a subgraph can hold: the isolated pair (1, 1), the pairs of
+    # linked degrees 2..s, and 0 beside a pad once s > 1.
+    linked = {1 + (a - 1) * s + (b - 1) for a in range(2, s + 1) for b in range(2, s + 1)}
+    reachable = {1} | linked | ({0} if s > 1 else set())
+    assert set(np.unique(propagation_matrix(*cases[0])).tolist()) == reachable
+
+
+@pytest.mark.parametrize("s, dtype", [(15, np.uint8), (16, np.uint16)])
+def test_code_dtype_holds_the_top_code(s, dtype):
+    # The top code s*s is two nodes of degree s; at s = 16 it is 256, which
+    # a uint8 would wrap to 0, the code of an entry off A + I.
+    complete = ~np.eye(s, dtype=bool)[None]
+    codes = propagation_matrix(complete, np.ones((1, s), dtype=bool))
+    assert codes.dtype == dtype
+    assert (codes == s * s).all()
+    assert expand(codes).tobytes() == dense_propagation(complete, np.ones((1, s))).tobytes()
 
 
 def test_padded_rows_stay_zero():
@@ -112,9 +169,10 @@ def test_padded_rows_stay_zero():
     )
     h = encode_nodes(entry, feats, bound, tape)
     np.testing.assert_array_equal(h.value[2:], np.zeros((2, 3)))
-    prop = propagation_matrix(entry.local_adjacency, entry.mask)
-    np.testing.assert_array_equal(prop, prop.T)
-    np.testing.assert_array_equal(prop[2:], 0.0)
+    codes = propagation_matrix(entry.local_adjacency > 0, entry.mask)
+    np.testing.assert_array_equal(codes, codes.T)
+    np.testing.assert_array_equal(codes[2:], 0)
+    np.testing.assert_array_equal(codes[:, 2:], 0)
     cats = subgraph_features(subgraph_set_of([entry]), np.array([1, 0], dtype=np.intp))
     assert cats.dtype == np.intp
     np.testing.assert_array_equal(cats, [1, 0, 0, 0])
@@ -272,7 +330,7 @@ def _encoder_inputs(seed, graphs=3, n=6, s=4, d=5):
         for _ in range(graphs)
     ]
     cats = int(rng.integers(2, 5))
-    prop = np.concatenate([propagation_matrix(ss.adjacency, ss.mask) for ss in sets])
+    prop = np.concatenate([expand(propagation_matrix(ss.adjacency, ss.mask)) for ss in sets])
     feats = np.concatenate([
         subgraph_features(ss, rng.integers(0, cats, size=ss.nodes.max() + 1)) for ss in sets
     ])

@@ -356,7 +356,7 @@ def test_precompute_rejects_negative_categories_without_features():
 
 
 def test_precompute_keeps_each_array_at_its_width():
-    """Bytes a graph's tensors keep: float64 propagation blocks, intp node
+    """Bytes a graph's tensors keep: one-byte propagation codes, intp node
     ids and categories, bool mask and adjacency, int16 overlaps, plus under
     3 KiB of Python objects, which one more float64 (n, s) array would
     overrun."""
@@ -372,9 +372,19 @@ def test_precompute_keeps_each_array_at_its_width():
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    arrays = n * s * s * (8 + 1) + n * s * (8 + 8 + 1) + n * n * 2
+    arrays = n * s * s * (1 + 1) + n * s * (8 + 8 + 1) + n * n * 2
     assert kept <= arrays + 3 * 1024, f"{kept} bytes kept, arrays need {arrays}"
     assert tensors.subgraph_set.adjacency.nbytes == n * s * s
+
+
+def test_precompute_slot_holds_one_byte_codes_not_float_blocks():
+    # At n = 30, s = 8 float64 blocks alone took 15,360 of the slot's 23,160
+    # bytes; the codes take 1,920 and the slot 9,720.
+    graph = random_graph(np.random.default_rng(10), num_nodes=300, edge_prob=0.02)
+    precompute_tensors(graph, 30, 8)
+    _, subgraph_set, *arrays = vars(graph)[_TENSORS_SLOT]
+    arrays += [getattr(subgraph_set, f.name) for f in fields(subgraph_set)]
+    assert sum(a.nbytes for a in arrays) <= 12_000
 
 
 def _counting_sampler(monkeypatch):
@@ -401,7 +411,7 @@ def test_a_repeat_precompute_samples_nothing(monkeypatch):
     assert sampled == [(graph, 6, 4)]
     assert again is not first and again.graph is graph
     assert again.subgraph_set is first.subgraph_set
-    assert again.prop_blocks is first.prop_blocks and again.feats is first.feats
+    assert again.prop_codes is first.prop_codes and again.feats is first.feats
 
 
 def test_another_shape_replaces_the_precomputed_slot(monkeypatch):
@@ -411,14 +421,14 @@ def test_another_shape_replaces_the_precomputed_slot(monkeypatch):
     other = precompute_tensors(graph, 5, 4)
     back = precompute_tensors(graph, 6, 4)
     assert [shape for _, *shape in sampled] == [[6, 4], [5, 4], [6, 4]]
-    assert other.prop_blocks.shape == (5, 4, 4)
-    assert back.prop_blocks is not first.prop_blocks
-    assert back.prop_blocks.tobytes() == first.prop_blocks.tobytes()
+    assert other.prop_codes.shape == (5, 4, 4)
+    assert back.prop_codes is not first.prop_codes
+    assert back.prop_codes.tobytes() == first.prop_codes.tobytes()
 
 
 @pytest.mark.parametrize(
     "array",
-    ["prop_blocks", "feats", "subgraph_set.nodes", "subgraph_set.mask",
+    ["prop_codes", "feats", "subgraph_set.nodes", "subgraph_set.mask",
      "subgraph_set.adjacency", "subgraph_set.overlap"],
 )
 def test_precomputed_arrays_refuse_in_place_writes(array):
@@ -713,7 +723,7 @@ def test_precompute_matches_per_subgraph_reference(seed):
     tensors = precompute_tensors(graph, 8, 5)
     want = precompute_reference(graph, 8, 5)
     got = {
-        "prop_blocks": tensors.prop_blocks,
+        "prop_codes": tensors.prop_codes,
         "feats": tensors.feats,
         "mask": tensors.subgraph_set.mask,
         "overlap": tensors.subgraph_set.overlap,
@@ -797,19 +807,25 @@ def test_non_finite_gradient_stops_training(dataset, monkeypatch):
 
 
 @pytest.mark.parametrize("variant", ["full", "mi_corrupt"])
-def test_nan_in_an_unselected_subgraph_stops_training(dataset, variant):
+def test_nan_in_an_unselected_subgraph_stops_training(dataset, variant, monkeypatch):
     # The encoder's backward skips subgraphs that top-k left out; a NaN in
     # one must still reach the weight gradients, as 0 * NaN does in the
     # unfused op chain, even though the loss never reads that subgraph.
+    import subsketch.trainer as trainer
+
     config = tiny_config(variant=variant, n=6, s=4, epochs=1, seed=0)
     plan = make_folds(dataset, config.seed, config.fold_count)
     train_ids, _ = plan.split(0)
     tensors = {g.index: precompute_tensors(g, config.n, config.s) for g in dataset}
-    # The precomputed arrays are read-only and shared with every later
+    # A code holds no NaN, so the value table gets one more entry, a NaN,
+    # and one entry of subgraph 2 of the first graph points at it.  The
+    # precomputed arrays are read-only and shared with every later
     # precompute of the graph, so the poison goes into a copy.
-    poisoned = tensors[train_ids[0]].prop_blocks.copy()
-    poisoned[2, 0, 0] = np.nan
-    tensors[train_ids[0]] = replace(tensors[train_ids[0]], prop_blocks=poisoned)
+    values = np.append(trainer.propagation_values(config.s), np.nan)
+    monkeypatch.setattr(trainer, "propagation_values", lambda s: values)
+    poisoned = tensors[train_ids[0]].prop_codes.copy()
+    poisoned[2, 0, 0] = len(values) - 1
+    tensors[train_ids[0]] = replace(tensors[train_ids[0]], prop_codes=poisoned)
     batch = [tensors[i] for i in train_ids[:4]]
     tape = Tape(training=True)
     bound = bind_model(init_model(np.random.default_rng(0), 4, 2, config), tape)
