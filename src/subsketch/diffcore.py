@@ -16,7 +16,8 @@ each non-parameter node's gradient and backward rule, with the arrays the
 rule holds, as soon as the rule has run, so afterwards only the node values
 and the parameter gradients remain, and a second ``backward`` raises.  An
 op defined outside this module, such as the fused subgraph encoder in
-``encoder``, records its node through ``Tape._record`` like every op here.
+``encoder`` or the fused sketch attention in ``sketch_mi``, records its
+node through ``Tape._record`` like every op here.
 
 Gathers know their index pattern: ``repeat_rows`` repeats each row in
 equal runs and sums each run's gradient rows in order, and ``take_rows``

@@ -23,8 +23,11 @@ Every graph keeps the same number M of supernodes, so the selection is one
 sketch attention runs under one (B*M, M) mask, one M x M block per graph,
 never forming cross-graph pairs.  Top-k ranking and sketched-graph
 construction run per graph on plain numpy values between tape ops; the
-forward keeps only the selection and that mask.  The vote cross-entropy is
-one log-space tape op on the subgraph logits (``Tape.vote_nll``).
+forward keeps only the selection and that mask.  Sketch attention, all
+heads, is one tape node too (:func:`~.sketch_mi.inter_attention_with_mask`),
+so a ``full`` training step records 49 nodes at two heads.  The vote
+cross-entropy is one log-space tape op on the subgraph logits
+(``Tape.vote_nll``).
 
 A training step records its forward on a ``Tape`` and runs backward on it
 once; backward frees each gradient as soon as it is used.

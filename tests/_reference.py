@@ -300,14 +300,48 @@ def topk_select(zs: np.ndarray, p: np.ndarray, k: float) -> tuple[list[int], np.
 # --------------------------------------------------------- sketch and MI
 
 
+def inter_attention_chain(
+    additive_mask: np.ndarray, zs: Node, heads: list[tuple[Node, Node]], tape: Tape
+) -> tuple[Node, list[Node]]:
+    """``sketch_mi.inter_attention_with_mask`` as the tape ops it fuses: one
+    constant node for the mask, then per head the transpose and projection,
+    ``a``'s halves as two ``take_rows`` gathers and their two products, the
+    dst column's reshape and repeat, the add, leaky ReLU, mask add, softmax
+    and block product; then the adds and the scale of the mean over heads.
+    Returns the output and each head's coefficient node."""
+    rows, m = additive_mask.shape
+    graphs = rows // m
+    mask = tape.constant(additive_mask)
+    head_outputs = []
+    coefficients = []
+    for w, a in heads:
+        projected = tape.matmul(zs, tape.transpose(w))
+        d2 = w.shape[0]
+        src = tape.matmul(projected, tape.take_rows(a, range(d2)))
+        dst = tape.matmul(projected, tape.take_rows(a, range(d2, 2 * d2)))
+        logits = tape.leaky_relu(
+            tape.add(tape.repeat_rows(tape.reshape(dst, graphs, m), m), src)
+        )
+        alpha = tape.softmax_rows(tape.add(logits, mask))
+        coefficients.append(alpha)
+        head_outputs.append(tape.block_diag_matmul(alpha, projected))
+    total = head_outputs[0]
+    for extra in head_outputs[1:]:
+        total = tape.add(total, extra)
+    return tape.scale(total, 1.0 / len(head_outputs)), coefficients
+
+
 def inter_attention_details(
     sk: SketchedGraph, zs: Node, heads: list[tuple[Node, Node]], tape: Tape
 ) -> tuple[Node, list[Node]]:
-    """One graph's head-averaged attention output plus each head's coefficients."""
+    """One graph's head-averaged attention output plus each head's
+    coefficients, from ``sketch_mi``'s op, each wrapped in a node that
+    holds no operand so that callers read it as ``.value``."""
     m = len(sk.supernodes)
     if zs.shape[0] != m:
         raise ValueError(f"{zs.shape[0]} embeddings for {m} supernodes; shapes must agree")
-    return inter_attention_with_mask(attention_mask(sk), zs, heads, tape)
+    out, coefficients = inter_attention_with_mask(attention_mask(sk), zs, heads, tape)
+    return out, [Node(alpha, (), None) for alpha in coefficients]
 
 
 def inter_attention(

@@ -8,7 +8,9 @@ from subsketch.sampler import SketchedGraph, build_sketched_graph, sample_subgra
 from subsketch.sketch_mi import attention_mask, corrupt, inter_attention_with_mask, mi_loss
 from subsketch.trainer import TrainConfig, bind_model, init_model
 
-from _reference import bilinear_logits, inter_attention, inter_attention_details, readout
+from _reference import (
+    bilinear_logits, inter_attention, inter_attention_chain, inter_attention_details, readout,
+)
 from _synth import random_graph
 from gradcheck import assert_grads_close, finite_diff_grads
 
@@ -168,11 +170,102 @@ def test_batched_coefficients_stay_inside_each_graph():
     _, alphas = inter_attention_with_mask(
         mask, tape.constant(rng.standard_normal((6, 2))), bound, tape
     )
-    alpha = alphas[0].value
-    assert alpha.shape == (6, 3)
+    alpha = alphas[0]
+    assert isinstance(alpha, np.ndarray) and alpha.shape == (6, 3)
     np.testing.assert_allclose(alpha[:3], np.eye(3), atol=1e-15)  # no sketch edges
     np.testing.assert_allclose(alpha.sum(axis=1), np.ones(6), atol=1e-12)
     assert np.all(alpha[3:] > 0.0)
+
+
+def _attention_case(seed, heads, d2, graphs=5, m=4, d1=3):
+    """A batched mask over isolated, path, complete and random sketches, and
+    random ``zs``, per-head ``w`` and ``a``, and an output weighting whose
+    rows for one graph are +0 and -0."""
+    rng = np.random.default_rng(seed)
+    sketches = [
+        sketch_of(m),
+        sketch_of(m, [(i, i + 1) for i in range(m - 1)]),
+        sketch_of(m, [(i, j) for i in range(m) for j in range(i + 1, m)]),
+    ]
+    while len(sketches) < graphs:
+        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        sketches.append(sketch_of(m, [p for p in pairs if rng.random() < 0.4]))
+    mask = np.vstack([attention_mask(sk) for sk in sketches])
+    zs = rng.standard_normal((graphs * m, d1))
+    w_list = [rng.standard_normal((d2, d1)) for _ in range(heads)]
+    a_list = [rng.standard_normal((2 * d2, 1)) for _ in range(heads)]
+    weighting = rng.standard_normal((graphs * m, d2))
+    weighting[:m] = 0.0
+    weighting[: m : 2] = -0.0
+    return mask, [zs, *w_list, *a_list], weighting
+
+
+def _run_attention(attend, mask, arrays, weighting, heads, record=True):
+    """The output, each head's coefficients as arrays, and the gradients to
+    ``zs``, every ``w`` and every ``a`` of ``sum(out * weighting)`` plus an
+    L2 term, which reaches the parameters before the attention's gradient."""
+    tape = Tape(record=record)
+    zs = tape.param(arrays[0])
+    bound = bind_arrays(tape, arrays[1 : 1 + heads], arrays[1 + heads :])
+    out, coefficients = attend(mask, zs, bound, tape)
+    coefficients = [c if isinstance(c, np.ndarray) else c.value for c in coefficients]
+    if not record:
+        return out.value, coefficients, None
+    params = [node for head in bound for node in head]
+    loss = tape.add(
+        tape.sum(tape.mul(out, tape.constant(weighting))), tape.l2_penalty(params, 0.01)
+    )
+    grads = tape.backward(loss)
+    nodes = [zs, *(w for w, _ in bound), *(a for _, a in bound)]
+    return out.value, coefficients, [grads[node] for node in nodes]
+
+
+@pytest.mark.parametrize("record", [True, False])
+@pytest.mark.parametrize("heads, d2", [(1, 1), (2, 5), (3, 4)])
+@pytest.mark.parametrize("seed", range(3))
+def test_fused_attention_gives_the_op_chains_bits(seed, heads, d2, record):
+    mask, arrays, weighting = _attention_case(60 + seed, heads, d2)
+    want = _run_attention(inter_attention_chain, mask, arrays, weighting, heads, record)
+    got = _run_attention(inter_attention_with_mask, mask, arrays, weighting, heads, record)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert len(got[1]) == heads
+    for g, w in zip(got[1], want[1]):
+        assert type(g) is np.ndarray and g.tobytes() == w.tobytes()
+    if record:
+        for i, (g, w) in enumerate(zip(got[2], want[2])):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes(), f"gradient {i}"
+
+
+def test_fused_attention_never_exponentiates_a_masked_entry():
+    # exp of a masked entry is +0.0 either way, but numpy reaches it by an
+    # underflow, which raises here; the op chain's softmax raises at once.
+    mask, arrays, weighting = _attention_case(71, 2, 3)
+    assert np.any(mask == MASK_OFF)
+    with np.errstate(under="raise"):
+        _, coefficients, grads = _run_attention(
+            inter_attention_with_mask, mask, arrays, weighting, 2
+        )
+    assert all(np.all(c[mask == MASK_OFF] == 0.0) for c in coefficients)
+    assert all(np.isfinite(g).all() for g in grads)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fused_attention_gradients_match_finite_differences(seed):
+    mask, arrays, weighting = _attention_case(80 + seed, 2, 3, graphs=4, m=3)
+
+    def loss(arrs):
+        tape = Tape(record=False)
+        bound = bind_arrays(tape, arrs[1:3], arrs[3:])
+        out, _ = inter_attention_with_mask(mask, tape.param(arrs[0]), bound, tape)
+        return float((out.value * weighting).sum())
+
+    tape = Tape()
+    zs = tape.param(arrays[0])
+    bound = bind_arrays(tape, arrays[1:3], arrays[3:])
+    out, _ = inter_attention_with_mask(mask, zs, bound, tape)
+    grads = tape.backward(tape.sum(tape.mul(out, tape.constant(weighting))))
+    got = [grads[node] for node in (zs, *(w for w, _ in bound), *(a for _, a in bound))]
+    assert_grads_close(got, finite_diff_grads(loss, arrays), tol=1e-4)
 
 
 @pytest.mark.parametrize("b_com", [0, 1, 2])

@@ -27,6 +27,7 @@ from subsketch.trainer import (
     evaluate_accuracy,
     init_model,
     precompute_tensors,
+    score_batch,
     sgd_momentum_step,
     total_loss,
     train_fold,
@@ -39,6 +40,7 @@ from _reference import (
     entries_of,
     heads_of,
     inter_attention,
+    inter_attention_chain,
     intra_attention,
     precompute_reference,
     readout,
@@ -581,8 +583,9 @@ def test_batched_pair_scores_match_per_pair_oracle(dataset, monkeypatch, variant
 # Tape nodes one training step records at the default head count (dropout
 # on).  Fewer nodes is the point of the fused ops; a change here should be
 # deliberate.  mi_corrupt's shuffled view is a whole batch_forward, whose
-# readout and classifier head add 6 nodes that no gradient reaches.
-STEP_TAPE_NODES = {"full": 77, "no_mi": 62, "mi_corrupt": 123}
+# readout and classifier head add 6 nodes that no gradient reaches.  Sketch
+# attention became one node in place of 29 at two heads: 77/62/123 before.
+STEP_TAPE_NODES = {"full": 49, "no_mi": 34, "mi_corrupt": 67}
 
 
 @pytest.mark.parametrize("variant", sorted(STEP_TAPE_NODES))
@@ -605,7 +608,8 @@ def test_training_step_peak_memory_is_bounded():
     # encoder as 14 tape ops and a backward that kept every gradient until
     # the tape was dropped, it peaked at 23.2 MB; the fused encoder keeps
     # only what its backward reads, and backward frees each gradient once
-    # used, for a peak of 12.7 MB.
+    # used, for a peak of 12.7 MB.  Sketch attention as one node, which keeps
+    # a projection, a sign mask and the coefficients per head, peaks at 10.4 MB.
     rng = np.random.default_rng(18)
     graphs = [random_graph(rng, 60, 0.07, index=i, label=i % 2) for i in range(32)]
     config = TrainConfig(n=30, s=8)
@@ -627,7 +631,100 @@ def test_training_step_peak_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * 2**20, f"a training step peaked at {peak / 2**20:.1f} MB"
+    assert peak <= 11 * 2**20, f"a training step peaked at {peak / 2**20:.1f} MB"
+
+
+def test_forward_only_scoring_peak_memory_is_bounded():
+    # A PROTEINS-shaped scoring batch: 32 graphs, n = 20 subgraphs of s = 6
+    # nodes, at k = 0.5.  It peaks at 1.64 MB, in the encoder, both with
+    # sketch attention as 29 tape ops and as one node that keeps no backward
+    # state on a forward-only tape; a node that kept it would peak higher.
+    rng = np.random.default_rng(19)
+    graphs = [random_graph(rng, 39, 0.1, index=i, label=i % 2) for i in range(32)]
+    config = TrainConfig(n=20, s=6)
+    tensors = [precompute_tensors(g, config.n, config.s) for g in graphs]
+    model = init_model(np.random.default_rng(0), 2, 2, config)
+    score_batch(model, tensors, 0.5, config)  # warm any lazy state first
+    tracemalloc.start()
+    try:
+        score_batch(model, tensors, 0.5, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.65 * 2**20, f"a scoring batch peaked at {peak / 2**20:.2f} MB"
+
+
+# Batch shapes like the benchmark's: (graph nodes, edge probability, n, s).
+SCALE_SHAPES = {
+    "MUTAG": (18, 0.13, 12, 5), "PROTEINS": (39, 0.1, 20, 6), "DD": (60, 0.07, 30, 8),
+}
+
+
+@pytest.fixture(scope="module")
+def scale_batches():
+    """One 32-graph batch of precomputed tensors per scale."""
+    rng = np.random.default_rng(33)
+    batches = {}
+    for scale, (nodes, p, n, s) in SCALE_SHAPES.items():
+        graphs = [random_graph(rng, nodes, p, index=i, label=i % 2) for i in range(32)]
+        batches[scale] = [precompute_tensors(g, n, s) for g in graphs]
+    return batches
+
+
+def _attention_chain(mask, zs, heads, tape):
+    out, coefficients = inter_attention_chain(mask, zs, heads, tape)
+    return out, [alpha.value for alpha in coefficients]
+
+
+@pytest.mark.parametrize("k", [0.5, 0.75, 1.0])
+@pytest.mark.parametrize("variant", ["full", "no_mi", "mi_corrupt"])
+@pytest.mark.parametrize("scale", sorted(SCALE_SHAPES))
+def test_fused_sketch_attention_step_gives_the_op_chains_bits(
+    scale_batches, monkeypatch, scale, variant, k
+):
+    import subsketch.trainer as trainer
+
+    _, _, n, s = SCALE_SHAPES[scale]
+    config = TrainConfig(n=n, s=s, variant=variant)  # dropout on
+    tensors = scale_batches[scale]
+    model = init_model(np.random.default_rng(0), 2, 2, config)
+
+    def step():
+        tape = Tape(training=True)
+        bound = bind_model(model, tape)
+        result = batch_forward(
+            bound, tensors, [t.graph.label for t in tensors], k, config, tape,
+            rng=np.random.default_rng(1), corrupt_rng=np.random.default_rng(2),
+        )
+        grads = tape.backward(result.loss)
+        return [result.loss.value, result.graph_dists.value, *(grads[bound[p]] for p in model)]
+
+    got = step()
+    monkeypatch.setattr(trainer, "inter_attention_with_mask", _attention_chain)
+    want = step()
+    names = ["loss", "graph_dists", *model]
+    assert len(names) == 14
+    for name, g, w in zip(names, got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
+
+
+@pytest.mark.parametrize("scale", sorted(SCALE_SHAPES))
+def test_fused_sketch_attention_scoring_gives_the_op_chains_bits(
+    scale_batches, monkeypatch, scale
+):
+    import subsketch.trainer as trainer
+
+    _, _, n, s = SCALE_SHAPES[scale]
+    config = TrainConfig(n=n, s=s)
+    model = init_model(np.random.default_rng(4), 2, 2, config)
+    got = _record_fields(score_batch(model, scale_batches[scale], 0.5, config))
+    monkeypatch.setattr(trainer, "inter_attention_with_mask", _attention_chain)
+    want = _record_fields(score_batch(model, scale_batches[scale], 0.5, config))
+    for name, w in want.items():
+        if isinstance(w, np.ndarray):
+            assert got[name].shape == w.shape and got[name].tobytes() == w.tobytes(), name
+        else:
+            assert got[name] == w, name
 
 
 def _eval_forward(graphs, config, k, record):
